@@ -28,6 +28,8 @@ class UnknownCampaignError(CampaignRegistryError, KeyError):
 
 _REGISTRY: Dict[str, CampaignSpec] = {}
 _builtins_loaded = False
+#: True while the library import runs; read and written under the lock.
+_builtins_loading = False
 #: Serialises the lazy builtin import (service threads may look campaigns
 #: up concurrently); reentrant so the library module can consult the
 #: registry while registering without deadlocking on its own import.
@@ -35,13 +37,16 @@ _builtins_lock = threading.RLock()
 
 
 def _ensure_builtins() -> None:
-    global _builtins_loaded
+    # ``_builtins_loaded`` flips only after the import finished, so a
+    # concurrent first lookup waits for the whole library; the importing
+    # thread's own re-entry returns on ``_builtins_loading``.
+    global _builtins_loaded, _builtins_loading
     if _builtins_loaded:
         return
     with _builtins_lock:
-        if _builtins_loaded:
+        if _builtins_loaded or _builtins_loading:
             return
-        _builtins_loaded = True
+        _builtins_loading = True
         before = set(_REGISTRY)
         try:
             importlib.import_module("repro.campaigns.library")
@@ -51,8 +56,11 @@ def _ensure_builtins() -> None:
             # registry (the scenario registry's contract).
             for name in set(_REGISTRY) - before:
                 del _REGISTRY[name]
-            _builtins_loaded = False
             raise
+        else:
+            _builtins_loaded = True
+        finally:
+            _builtins_loading = False
 
 
 def register_campaign(spec: CampaignSpec,

@@ -6,6 +6,8 @@ the multi-objective search:
 * :meth:`MultiCriteriaCompiler.compile` — one configuration, one variant,
 * :meth:`MultiCriteriaCompiler.explore` — search the configuration space and
   return the Pareto front of variants,
+* :meth:`MultiCriteriaCompiler.analyse` — WCET/WCEC of a compiled variant
+  at any operating point, without rebuilding it,
 * :meth:`MultiCriteriaCompiler.task_properties` — the per-task ETS properties
   file handed to the coordination layer and the contract system (the "ETS"
   arrow in Figure 1 of the paper).
@@ -37,12 +39,14 @@ from repro.compiler.evaluate import SecurityEvaluator, Variant
 from repro.compiler.fpa import FlowerPollinationOptimizer
 from repro.compiler.nsga2 import Nsga2Optimizer
 from repro.compiler.pipeline import CompilationPipeline
+from repro.energy.static_analyzer import WCECResult
 from repro.errors import CompilationError
 from repro.frontend import ast_nodes as ast
 from repro.hw.core import Core
 from repro.hw.dvfs import OperatingPoint
 from repro.hw.platform import Platform
 from repro.security.analyzer import SecurityAnalyzer
+from repro.wcet.analyzer import WCETResult
 
 
 @dataclass
@@ -249,6 +253,30 @@ class MultiCriteriaCompiler:
         return ParetoFront(variants=pareto_front(variants),
                            evaluations=evaluations, optimizer="exhaustive")
 
+    # -- analysis of compiled variants -------------------------------------------------------
+    def analyse(self, variant: Variant, opp: Optional[OperatingPoint] = None,
+                function_name: Optional[str] = None
+                ) -> Tuple[WCETResult, WCECResult]:
+        """WCET and WCEC of one function of a compiled variant at ``opp``.
+
+        ``function_name`` defaults to the variant's entry function, ``opp``
+        to the driver's operating point, and the analysis mode follows the
+        variant's configuration.  A build does not depend on the operating
+        point, so analysing a variant at another one needs no rebuild: the
+        driver's shared analysis cache serves the program's cycle table to
+        every operating point and computes one energy table per point.
+        """
+        opp = opp or self.opp
+        function_name = function_name or variant.entry_function
+        path_sensitive = variant.config.path_sensitive
+        wcet = self._analysis.wcet(variant.program, function_name,
+                                   core=self.core, opp=opp,
+                                   path_sensitive=path_sensitive)
+        wcec = self._analysis.wcec(variant.program, function_name,
+                                   core=self.core, opp=opp,
+                                   path_sensitive=path_sensitive)
+        return wcet, wcec
+
     # -- ETS properties export ----------------------------------------------------------------
     def task_properties(self, variant: Variant,
                         opp: Optional[OperatingPoint] = None
@@ -263,10 +291,7 @@ class MultiCriteriaCompiler:
         opp = opp or self.opp
         properties: Dict[str, Dict[str, float]] = {}
         for task, function in variant.program.task_functions.items():
-            wcet = self._analysis.wcet(variant.program, function.name,
-                                       core=self.core, opp=opp)
-            wcec = self._analysis.wcec(variant.program, function.name,
-                                       core=self.core, opp=opp)
+            wcet, wcec = self.analyse(variant, opp, function.name)
             properties[task] = {
                 "function": function.name,
                 "wcet_cycles": wcet.cycles,

@@ -360,7 +360,53 @@ def _region_signature(region: Region) -> Tuple:
     raise TypeError(f"unknown region type {type(region)!r}")  # pragma: no cover
 
 
-def program_fingerprint(program: Program) -> Tuple:
+class ProgramFingerprint:
+    """A program's structural fingerprint, as a dictionary key.
+
+    ``parts`` is the nested tuple :func:`program_fingerprint` builds.  A
+    tuple does not cache its hash, so a bare fingerprint would be re-hashed
+    through every instruction on every cache lookup; this key hashes it once.
+    It also memoises the persistent tier's digest of ``parts`` (see
+    :meth:`digest`), which every per-core/per-OPP table of the program
+    shares.
+
+    Only ``parts`` is pickled.  The hash mixes string hashes and identity
+    hashes (``Opcode``), both of which differ from process to process, so an
+    unpickled fingerprint computes its own.
+    """
+
+    __slots__ = ("parts", "_hash", "_digest")
+
+    def __init__(self, parts: Tuple):
+        self.parts = parts
+        self._hash = hash(parts)
+        self._digest: Optional[str] = None
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, ProgramFingerprint):
+            return NotImplemented
+        return self._hash == other._hash and self.parts == other.parts
+
+    def __reduce__(self):
+        return (ProgramFingerprint, (self.parts,))
+
+    def digest(self) -> str:
+        """SHA-256 of the canonicalised ``parts`` (the on-disk key component).
+
+        Computed on first use only: canonicalising a whole fingerprint costs
+        more than one table analysis, so it is never done eagerly.
+        """
+        if self._digest is None:
+            self._digest = _persist.key_digest(self.parts)
+        return self._digest
+
+
+def program_fingerprint(program: Program) -> ProgramFingerprint:
     """Structural fingerprint capturing everything the cost analyses read.
 
     Two programs with equal fingerprints have identical worst-case cost
@@ -385,7 +431,7 @@ def program_fingerprint(program: Program) -> Tuple:
             blocks.append(tuple(signature))
         functions.append((name, function.code_region, function.entry,
                           _region_signature(function.region), tuple(blocks)))
-    fingerprint = tuple(functions)
+    fingerprint = ProgramFingerprint(tuple(functions))
     setattr(program, _FINGERPRINT_ATTR, fingerprint)
     return fingerprint
 
@@ -466,7 +512,7 @@ class AnalysisCache(_BoundedCacheMixin):
         # cache is queried concurrently by the evaluation service's worker
         # threads.  Reentrant because ``wcec`` calls ``wcet``.
         self._lock = threading.RLock()
-        self._checked: "OrderedDict[Tuple, bool]" = OrderedDict()
+        self._checked: "OrderedDict[ProgramFingerprint, bool]" = OrderedDict()
         self._cycle_tables: "OrderedDict[Tuple, Tuple[Dict[str, float], Dict[str, Exception]]]" = OrderedDict()
         self._energy_tables: "OrderedDict[Tuple, Tuple[Dict[str, float], Dict[str, Exception]]]" = OrderedDict()
         self._wcet_analyzers: Dict[str, WCETAnalyzer] = {}
@@ -481,11 +527,6 @@ class AnalysisCache(_BoundedCacheMixin):
         # Cross-program block-cost memos (call-free blocks only).
         self._cycle_block_costs: Dict[str, Dict[Tuple, float]] = {}
         self._energy_block_costs: Dict[Tuple, Dict[Tuple, float]] = {}
-        # Fingerprint -> digest memo for the persistent tier: canonicalising
-        # a whole structural fingerprint costs more than one table analysis,
-        # and every core/OPP table of a program shares the fingerprint — so
-        # hash it once per program, not once per table.
-        self._fingerprint_digests: Dict[Tuple, str] = {}
         # Path-feasibility counters, accumulated on computes only (memory and
         # disk hits reuse tables whose pruning already happened elsewhere).
         self._path_totals = PathStats()
@@ -533,7 +574,8 @@ class AnalysisCache(_BoundedCacheMixin):
             per_function.merge(stats)
 
     # -- persistent tier -------------------------------------------------------
-    def _table_digest(self, kind: str, fingerprint: Tuple, *scope: str) -> str:
+    def _table_digest(self, kind: str, fingerprint: ProgramFingerprint,
+                      *scope: str) -> str:
         """On-disk key of one result table: platform + pass list + scope.
 
         The structural fingerprint enters through its own memoised digest
@@ -544,13 +586,9 @@ class AnalysisCache(_BoundedCacheMixin):
         """
         if self._pass_list_key is None:
             self._pass_list_key = _persist.default_pass_list_key()
-        digest = self._fingerprint_digests.get(fingerprint)
-        if digest is None:
-            digest = _persist.key_digest(fingerprint)
-            self._fingerprint_digests[fingerprint] = digest
         return _persist.key_digest("analysis", self.platform.name,
                                    self._pass_list_key, kind, list(scope),
-                                   digest)
+                                   fingerprint.digest())
 
     def _disk_get(self, digest: str):
         """Decode a persisted table, or ``None`` (undecodable counts a miss)."""
@@ -590,7 +628,8 @@ class AnalysisCache(_BoundedCacheMixin):
         return analyzer
 
     # -- shared validation ----------------------------------------------------
-    def _check_analysable(self, program: Program, fingerprint: Tuple) -> None:
+    def _check_analysable(self, program: Program,
+                          fingerprint: ProgramFingerprint) -> None:
         """``validate()`` + recursion check, once per distinct program.
 
         The recursion check is an iterative three-colour DFS over the call

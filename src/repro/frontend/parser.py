@@ -105,19 +105,21 @@ _NO_PRAGMAS: Dict[str, object] = {}
 
 #: Memo for numeric-literal conversion: real programs repeat a handful of
 #: constants, and ``int(text, 0)`` (prefix handling) costs several times a
-#: dict hit.  Failures (e.g. a bare ``"0x"``) are never cached, so the
-#: ValueError propagates exactly as the seed parser's did.
+#: dict hit.  Failures (e.g. a bare ``"0x"``) are never cached.
 _INT_CACHE: Dict[str, int] = {}
 
 
-def _int_value(text: str) -> int:
-    value = _INT_CACHE.get(text)
-    if value is None:
-        value = int(text, 0)
-        if len(_INT_CACHE) >= 4096:
-            _INT_CACHE.clear()
-        _INT_CACHE[text] = value
-    return value
+def _malformed_literal(text: str) -> str:
+    return f"malformed integer literal {text!r}"
+
+
+def _token_int(token: Token) -> int:
+    """The reference parser's literal conversion, positioned on failure."""
+    try:
+        return int(token.value, 0)
+    except ValueError:
+        raise FrontendError(_malformed_literal(token.value), token.line,
+                            token.column) from None
 
 
 class _Parser:
@@ -155,6 +157,26 @@ class _Parser:
 
     def error(self, message: str) -> FrontendError:
         return self._positioned(self.pos, message)
+
+    def _number(self, index: int) -> int:
+        """Value of the NUM token at ``index``.
+
+        The scanner accepts any digit run, so literals such as ``01`` (C
+        octal syntax, rejected here) or a bare ``0x`` only fail at
+        conversion, as a positioned error.
+        """
+        text = self.values[index]
+        value = _INT_CACHE.get(text)
+        if value is None:
+            try:
+                value = int(text, 0)
+            except ValueError:
+                raise self._positioned(index,
+                                       _malformed_literal(text)) from None
+            if len(_INT_CACHE) >= 4096:
+                _INT_CACHE.clear()
+            _INT_CACHE[text] = value
+        return value
 
     # -- token helpers ------------------------------------------------------
     def _expect(self, kind_id: int) -> int:
@@ -213,7 +235,7 @@ class _Parser:
         self._expect(_OP_LBRACKET)
         size_index = self._expect(K_NUM)
         self._expect(_OP_RBRACKET)
-        size = int(self.values[size_index], 0)
+        size = self._number(size_index)
         if size <= 0:
             raise self._positioned(size_index, "array size must be positive")
         init: Optional[List[int]] = None
@@ -222,7 +244,7 @@ class _Parser:
             init = []
             while self.kinds[self.pos] != _OP_RBRACE:
                 negative = self._accept(_OP_MINUS)
-                value = int(self.values[self._expect(K_NUM)], 0)
+                value = self._number(self._expect(K_NUM))
                 init.append(-value if negative else value)
                 if not self._accept(_OP_COMMA):
                     break
@@ -305,7 +327,7 @@ class _Parser:
             size_index = self._expect(K_NUM)
             self._expect(_OP_RBRACKET)
             self._expect(_OP_SEMICOLON)
-            size = int(self.values[size_index], 0)
+            size = self._number(size_index)
             if size <= 0:
                 raise self._positioned(size_index,
                                        "array size must be positive")
@@ -472,7 +494,7 @@ class _Parser:
             return ast.Var(name, line)
         if kind == K_NUM:
             self.pos = pos + 1
-            return ast.Num(_int_value(self.values[pos]), self.lines[pos])
+            return ast.Num(self._number(pos), self.lines[pos])
         if kind == _OP_MINUS or kind == _OP_BANG or kind == _OP_TILDE:
             line = self.lines[pos]
             self.pos = pos + 1
@@ -579,7 +601,7 @@ class _ReferenceParser:
         self.expect("OP", "[")
         size_token = self.expect("NUM")
         self.expect("OP", "]")
-        size = int(size_token.value, 0)
+        size = _token_int(size_token)
         if size <= 0:
             raise FrontendError("array size must be positive",
                                 size_token.line, size_token.column)
@@ -590,7 +612,7 @@ class _ReferenceParser:
             while not self.check("OP", "}"):
                 negative = bool(self.accept("OP", "-"))
                 value_token = self.expect("NUM")
-                value = int(value_token.value, 0)
+                value = _token_int(value_token)
                 init.append(-value if negative else value)
                 if not self.accept("OP", ","):
                     break
@@ -662,7 +684,7 @@ class _ReferenceParser:
             size_token = self.expect("NUM")
             self.expect("OP", "]")
             self.expect("OP", ";")
-            size = int(size_token.value, 0)
+            size = _token_int(size_token)
             if size <= 0:
                 raise FrontendError("array size must be positive",
                                     size_token.line, size_token.column)
@@ -782,7 +804,7 @@ class _ReferenceParser:
         token = self.peek()
         if token.kind == "NUM":
             self.advance()
-            return ast.Num(int(token.value, 0), token.line)
+            return ast.Num(_token_int(token), token.line)
         if token.kind == "ID":
             self.advance()
             if self.accept("OP", "("):

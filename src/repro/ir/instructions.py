@@ -45,6 +45,12 @@ class Opcode(enum.Enum):
     SELECT = "select"    # dst <- cond ? a : b, constant time
     NOP = "nop"
 
+    # Members are singletons, so identity hashing is consistent with
+    # equality.  It runs in C, unlike ``Enum.__hash__`` (a Python-level
+    # ``hash(self._name_)``), and opcodes are hashed on every cost-memo and
+    # fingerprint lookup of the analysis caches.
+    __hash__ = object.__hash__
+
 
 #: Opcode -> instruction class used by the hardware cost tables.
 _CLASS_OF_OPCODE = {

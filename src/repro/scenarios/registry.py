@@ -28,6 +28,8 @@ class UnknownScenarioError(ScenarioRegistryError, KeyError):
 
 _REGISTRY: Dict[str, ScenarioSpec] = {}
 _builtins_loaded = False
+#: True while the library import runs; read and written under the lock.
+_builtins_loading = False
 #: Serialises the lazy builtin import: the evaluation service's worker
 #: threads may look scenarios up concurrently before the library loaded.
 #: Reentrant so a library module consulting the registry while registering
@@ -38,12 +40,14 @@ _builtins_lock = threading.RLock()
 def _ensure_builtins() -> None:
     """Import the built-in scenario library exactly once.
 
-    The flag is set *before* the import so a library module that consults the
-    registry while registering cannot recurse.  A failed import rolls back
-    its partial registrations and clears the flag, so the error resurfaces
-    on the next lookup instead of leaving a silently partial registry.
+    ``_builtins_loaded`` is set only once the import has finished, so a
+    concurrent first lookup waits on the lock for the whole library instead
+    of reading a partial registry.  A library module that consults the
+    registry while registering re-enters on the importing thread and returns
+    on ``_builtins_loading``.  A failed import rolls back its partial
+    registrations, so the error resurfaces on the next lookup instead of
+    leaving a silently partial registry.
     """
-    global _builtins_loaded
     if _builtins_loaded:
         return
     with _builtins_lock:
@@ -51,10 +55,10 @@ def _ensure_builtins() -> None:
 
 
 def _ensure_builtins_locked() -> None:
-    global _builtins_loaded
-    if _builtins_loaded:
+    global _builtins_loaded, _builtins_loading
+    if _builtins_loaded or _builtins_loading:
         return
-    _builtins_loaded = True
+    _builtins_loading = True
     before = set(_REGISTRY)
     modules_before = set(sys.modules)
     try:
@@ -71,8 +75,11 @@ def _ensure_builtins_locked() -> None:
                     or module == "repro.usecases"
                     or module.startswith("repro.usecases.")):
                 del sys.modules[module]
-        _builtins_loaded = False
         raise
+    else:
+        _builtins_loaded = True
+    finally:
+        _builtins_loading = False
 
 
 def register_scenario(spec: ScenarioSpec, replace: bool = False) -> ScenarioSpec:

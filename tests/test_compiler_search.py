@@ -165,6 +165,34 @@ class TestDriver:
         assert data["platform"] == platform.name
         assert "kernel" in data["tasks"]
 
+    def test_analyse_at_nominal_matches_compile(self, platform):
+        compiler = MultiCriteriaCompiler(platform)
+        variant = compiler.compile(SOURCE, "kernel")
+        wcet, wcec = compiler.analyse(variant)
+        assert wcet.time_s == variant.wcet_time_s
+        assert wcec.energy_j == variant.energy_j
+
+    def test_e5_rows_match_per_opp_rebuilds(self):
+        """One build per variant, analysed at every OPP, gives exactly the
+        numbers of a fresh compiler built for each OPP."""
+        from repro.dl.kernels import conv2d_kernel_source, matmul_kernel_source
+        from repro.usecases import deep_learning
+
+        board = deep_learning.m0_platform()
+        oracle = []
+        for kernel, source in (("conv2d", conv2d_kernel_source(10)),
+                               ("matmul", matmul_kernel_source(8))):
+            for name, config in deep_learning.M0_CONFIGS.items():
+                for opp in board.predictable_cores[0].operating_points:
+                    variant = MultiCriteriaCompiler(board, opp=opp).compile(
+                        source, kernel, config)
+                    oracle.append((kernel, name, opp.label,
+                                   variant.wcet_time_s * 1e3,
+                                   variant.energy_j * 1e6))
+        rows = [(row.kernel, row.config, row.opp, row.wcet_ms, row.energy_uj)
+                for row in deep_learning.run_m0_variants()]
+        assert rows == oracle
+
     def test_security_evaluation_adds_objective(self, platform):
         source = """
         #pragma teamplay task(check) secret(key)

@@ -1,9 +1,16 @@
 """Tests for the batched variant-evaluation engine and its staged caches."""
 
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.compiler.config import CompilerConfig
 from repro.compiler.engine import (
+    AnalysisCache,
     BatchEvaluator,
     EvaluationEngine,
     VariantCache,
@@ -16,6 +23,7 @@ from repro.compiler.evaluate import evaluate_config
 from repro.compiler.fpa import FlowerPollinationOptimizer
 from repro.compiler.nsga2 import Nsga2Optimizer
 from repro.errors import CompilationError
+from repro.frontend import compile_source
 from repro.frontend.parser import parse
 from repro.hw.presets import nucleo_stm32f091rc
 
@@ -214,3 +222,62 @@ class TestEngineSafety:
         single = engine_for(module, platform).evaluate(CompilerConfig.baseline())
         assert variant.wcet_cycles == single.wcet_cycles
         assert variant.energy_j == single.energy_j
+
+
+#: Run in a child interpreter under another ``PYTHONHASHSEED``: pickles a
+#: compiled program together with its memoised fingerprint.
+PICKLE_FINGERPRINT_SCRIPT = """
+import pickle, sys
+from repro.compiler.engine import program_fingerprint
+from repro.frontend import compile_source
+program = compile_source(sys.argv[1])
+program_fingerprint(program)
+sys.stdout.buffer.write(pickle.dumps(program))
+"""
+
+
+class TestProgramFingerprint:
+    def test_equal_programs_give_equal_keys_and_hashes(self):
+        first = program_fingerprint(compile_source(SOURCE))
+        second = program_fingerprint(compile_source(SOURCE))
+        assert first is not second
+        assert first == second and hash(first) == hash(second)
+        assert first.digest() == second.digest()
+
+    def test_memoised_on_the_program(self):
+        program = compile_source(SOURCE)
+        assert program_fingerprint(program) is program_fingerprint(program)
+
+    def test_different_configs_give_different_keys(self, module, platform):
+        engine = engine_for(module, platform)
+        configs = [CompilerConfig.baseline(),
+                   CompilerConfig.baseline().with_(unroll_limit=32),
+                   CompilerConfig.baseline().with_(spm_allocation=True),
+                   CompilerConfig.baseline().with_(strength_reduction=True)]
+        keys = [program_fingerprint(engine.evaluate(config).program)
+                for config in configs]
+        assert len(set(keys)) == len(configs)
+        assert len({key.digest() for key in keys}) == len(configs)
+
+    def test_pickled_fingerprint_hits_in_another_process(self, platform):
+        env = dict(os.environ)
+        env["PYTHONHASHSEED"] = ("1" if env.get("PYTHONHASHSEED") == "0"
+                                 else "0")
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(__file__).resolve().parent.parent / "src")]
+            + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+        done = subprocess.run(
+            [sys.executable, "-c", PICKLE_FINGERPRINT_SCRIPT, SOURCE],
+            env=env, capture_output=True, timeout=120)
+        assert done.returncode == 0, done.stderr.decode()
+        shipped = pickle.loads(done.stdout)
+        local = compile_source(SOURCE)
+        assert program_fingerprint(shipped) == program_fingerprint(local)
+        assert hash(program_fingerprint(shipped)) \
+            == hash(program_fingerprint(local))
+
+        cache = AnalysisCache(platform)
+        expected = cache.wcet(local, "kernel")
+        hits = cache.hits
+        assert cache.wcet(shipped, "kernel").cycles == expected.cycles
+        assert cache.hits == hits + 1 and cache.misses == 1

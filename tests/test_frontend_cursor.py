@@ -25,7 +25,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.compiler.config import CompilerConfig
 from repro.compiler.pipeline import CompilationPipeline, Pass, PassManager
-from repro.errors import FrontendError
+from repro.errors import FrontendError, TeamPlayError
 from repro.frontend import ast_nodes as ast
 from repro.frontend import lexer, parser
 from repro.frontend.ast_nodes import ast_to_dict
@@ -201,15 +201,11 @@ class TestParserEquivalence:
             reference_error = None
         except FrontendError as error:
             reference_error = bare_message(error)
-        except ValueError:
-            reference_error = ValueError
         try:
             parse(truncated)
             cursor_error = None
         except FrontendError as error:
             cursor_error = bare_message(error)
-        except ValueError:
-            cursor_error = ValueError
         # Same verdict and same message; positions may legitimately differ
         # at end of input (the cursor parser reports the last real token).
         assert cursor_error == reference_error
@@ -269,6 +265,57 @@ class TestEndOfInputDiagnostics:
         with pytest.raises(FrontendError) as excinfo:
             parse("}")
         assert "expected a declaration" in str(excinfo.value)
+
+
+#: A source with a numeric literal at every site the parsers convert one:
+#: global array size, initialiser, local array size and expression.
+_LITERAL_SITES = ("int g[4] = {1, 2};\n"
+                  "int f(int x) {\n"
+                  "    int buf[8];\n"
+                  "    return x + 3;\n"
+                  "}\n")
+_LITERAL_SPANS = [match.span() for match in re.finditer(r"\d+", _LITERAL_SITES)]
+
+
+class TestMalformedIntegerLiterals:
+    """A literal ``int(text, 0)`` rejects is a positioned FrontendError."""
+
+    @pytest.mark.parametrize("source, line, column, literal", [
+        ("int a[01];", 1, 7, "01"),
+        ("int a[4] = {024};", 1, 13, "024"),
+        ("int a[4] = {1, -0x};", 1, 17, "0x"),
+        ("int f(void) {\n    int b[09];\n    return 1;\n}\n", 2, 11, "09"),
+        ("int f(void) { return 0x; }", 1, 22, "0x"),
+        ("int f(int x) {\n    return x * 007;\n}\n", 2, 16, "007"),
+    ])
+    def test_both_parsers_report_the_literal(self, source, line, column,
+                                             literal):
+        for parse_fn in (parse, parse_reference):
+            with pytest.raises(FrontendError) as excinfo:
+                parse_fn(source)
+            error = excinfo.value
+            assert f"malformed integer literal {literal!r}" in str(error)
+            assert (error.line, error.column) == (line, column)
+
+    def test_well_formed_prefixes_still_parse(self):
+        source = "int f(void) { return 0X1f + 00 + 0x0 + 10; }"
+        assert parse(source) == parse_reference(source)
+
+    @given(site=st.sampled_from(_LITERAL_SPANS),
+           literal=st.one_of(
+               st.from_regex(r"0[0-9xXbBoO_]{0,3}", fullmatch=True),
+               st.from_regex(r"[1-9][0-9a-fA-F_xX]{0,3}", fullmatch=True)))
+    @settings(max_examples=200, deadline=None)
+    def test_mutated_literals_raise_only_teamplay_errors(self, site, literal):
+        start, end = site
+        source = _LITERAL_SITES[:start] + literal + _LITERAL_SITES[end:]
+        outcomes = []
+        for parse_fn in (parse, parse_reference):
+            try:
+                outcomes.append(parse_fn(source))
+            except TeamPlayError as error:
+                outcomes.append(str(error))
+        assert outcomes[0] == outcomes[1]
 
 
 class TestTokenInterning:

@@ -26,7 +26,7 @@ import os
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.compiler.engine import AnalysisCache
+from repro.compiler.engine import AnalysisCache, program_fingerprint
 from repro.compiler.engine.cache import (
     disable_process_analysis_cache,
     enable_process_analysis_cache,
@@ -173,6 +173,22 @@ class TestKeyDigest:
     def test_unsupported_component_rejected(self):
         with pytest.raises(PersistError, match="unsupported key component"):
             key_digest(object())
+
+    def test_program_digests_are_pinned(self):
+        """On-disk keys of a fixed program never drift, so a ``--cache-dir``
+        filled by an earlier build stays warm.  Only a deliberate change to
+        the stock pass list or the codec version may move them."""
+        platform = nucleo_stm32f091rc()
+        core = platform.predictable_cores[0]
+        fingerprint = program_fingerprint(compile_source(_source(24)))
+        cache = AnalysisCache(platform)
+        assert fingerprint.digest() == key_digest(fingerprint.parts) == (
+            "4916c64a688a156696bec0cb8201dc85ebd4ffdd8e1f8351496001976bcd30eb")
+        assert cache._table_digest("cycles", fingerprint, core.name) == (
+            "af50c1188737a21b6afe6c8384ca5cd9ae5d010217b4e7358276a3010129960e")
+        assert cache._table_digest(
+            "energy", fingerprint, core.name, core.nominal_opp.label) == (
+            "30f5564c17b2ac200a1d7d8bca114e1bdebf38b52c8e276e9a0946d7da66411b")
 
     def test_default_pass_list_key_is_stable(self):
         key = default_pass_list_key()

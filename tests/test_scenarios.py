@@ -380,6 +380,68 @@ class TestBuiltinLoadRollback:
         assert {s.name for s in list_scenarios()} >= BUILTIN_SCENARIOS
 
 
+#: Run in a fresh interpreter: cold-starts each registry 20 times and has 8
+#: threads, released together by a barrier, make their first lookups at once.
+COLD_START_RACE_SCRIPT = """
+import sys, threading
+from repro.campaigns import hooks, registry as campaigns
+from repro.scenarios import registry as scenarios
+
+def cold_start(registry, library_modules):
+    registry._REGISTRY.clear()
+    registry._builtins_loaded = False
+    hooks._HOOKS.clear()  # only the campaign library registers hooks
+    for module in list(sys.modules):
+        if module in library_modules or module.startswith("repro.usecases."):
+            del sys.modules[module]
+
+failures = []
+cases = [
+    (scenarios, scenarios.get_scenario, "camera-pill",
+     {"repro.scenarios.library", "repro.usecases"}),
+    (campaigns, campaigns.get_campaign, "search-refine-validate",
+     {"repro.campaigns.library"}),
+]
+for registry, lookup, name, library_modules in cases:
+    for _ in range(20):
+        cold_start(registry, library_modules)
+        barrier = threading.Barrier(8)
+
+        def first_lookup():
+            barrier.wait()
+            try:
+                lookup(name)
+            except Exception as error:
+                failures.append(repr(error))
+
+        threads = [threading.Thread(target=first_lookup) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+            assert not thread.is_alive()
+print(len(failures), failures[:1])
+"""
+
+
+class TestColdStartRace:
+    def test_concurrent_first_lookups_all_succeed(self):
+        """No lookup may see the registry while the library still loads."""
+        import os
+        import subprocess
+        import sys
+
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(pathlib.Path(__file__).resolve().parent.parent / "src")]
+            + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+        done = subprocess.run([sys.executable, "-c", COLD_START_RACE_SCRIPT],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "0 []"
+
+
 # ---------------------------------------------------------------------------
 # Golden parity: refactored drivers == pre-refactor pipelines, bit for bit
 # ---------------------------------------------------------------------------
