@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 class Layer:
@@ -53,30 +54,40 @@ class Conv2D(Layer):
         weights = rng.normal(0.0, scale, (kernel, kernel, in_channels, out_channels))
         return cls(weights=weights)
 
+    def _output_size(self, height: int, width: int) -> Tuple[int, int]:
+        """Output rows and columns of a valid convolution over ``height x width``."""
+        kh, kw = self.weights.shape[:2]
+        return ((height - kh) // self.stride + 1,
+                (width - kw) // self.stride + 1)
+
     def forward(self, tensor: np.ndarray) -> np.ndarray:
         if tensor.ndim == 2:
             tensor = tensor[:, :, np.newaxis]
+        elif tensor.ndim != 3:
+            raise ValueError(
+                "expected a (height, width[, channels]) input, "
+                f"got shape {tensor.shape}")
         kh, kw, in_channels, out_channels = self.weights.shape
         if tensor.shape[2] != in_channels:
             raise ValueError(
                 f"expected {in_channels} input channels, got {tensor.shape[2]}")
-        out_h = (tensor.shape[0] - kh) // self.stride + 1
-        out_w = (tensor.shape[1] - kw) // self.stride + 1
+        out_h, out_w = self._output_size(tensor.shape[0], tensor.shape[1])
         if out_h <= 0 or out_w <= 0:
             raise ValueError("input smaller than the convolution kernel")
-        output = np.zeros((out_h, out_w, out_channels))
-        for row in range(out_h):
-            for col in range(out_w):
-                r0, c0 = row * self.stride, col * self.stride
-                patch = tensor[r0:r0 + kh, c0:c0 + kw, :]
-                output[row, col, :] = np.tensordot(
-                    patch, self.weights, axes=([0, 1, 2], [0, 1, 2])) + self.bias
-        return output
+        # One (1, K) x (K, out_channels) product per output pixel, stacked
+        # into a single matmul.  The stacked (N, 1, K) shape reproduces the
+        # per-patch dot product bit for bit; a flat (N, K) gemm does not.
+        windows = sliding_window_view(tensor, (kh, kw), axis=(0, 1))
+        windows = windows[::self.stride, ::self.stride]
+        patches = windows.transpose(0, 1, 3, 4, 2).reshape(
+            out_h * out_w, 1, kh * kw * in_channels)
+        output = np.matmul(
+            patches, self.weights.reshape(kh * kw * in_channels, out_channels))
+        return output.reshape(out_h, out_w, out_channels) + self.bias
 
     def macs(self, input_shape: Tuple[int, ...]) -> int:
         kh, kw, in_channels, out_channels = self.weights.shape
-        height = (input_shape[0] - kh) // self.stride + 1
-        width = (input_shape[1] - kw) // self.stride + 1
+        height, width = self._output_size(input_shape[0], input_shape[1])
         return height * width * out_channels * kh * kw * in_channels
 
 

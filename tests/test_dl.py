@@ -3,6 +3,7 @@ and the TeamPlay-C kernels)."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.dl.dataset import ParkingDataset
 from repro.dl.kernels import (
@@ -17,7 +18,47 @@ from repro.errors import CompilationError
 from repro.frontend.lowering import compile_source
 from repro.hw.presets import nucleo_stm32f091rc
 from repro.sim.machine import Simulator
+from repro.usecases.deep_learning import parking_network, tk1_workload
 from repro.wcet.analyzer import WCETAnalyzer
+
+
+def _per_patch_conv2d(tensor, weights, bias, stride):
+    """The original ``Conv2D.forward``: one ``tensordot`` per output pixel.
+
+    Kept here as the oracle the vectorised kernel must match bit for bit.
+    """
+    if tensor.ndim == 2:
+        tensor = tensor[:, :, np.newaxis]
+    kh, kw, _, out_channels = weights.shape
+    out_h = (tensor.shape[0] - kh) // stride + 1
+    out_w = (tensor.shape[1] - kw) // stride + 1
+    output = np.zeros((out_h, out_w, out_channels))
+    for row in range(out_h):
+        for col in range(out_w):
+            r0, c0 = row * stride, col * stride
+            patch = tensor[r0:r0 + kh, c0:c0 + kw, :]
+            output[row, col, :] = np.tensordot(
+                patch, weights, axes=([0, 1, 2], [0, 1, 2])) + bias
+    return output
+
+
+@st.composite
+def _conv_cases(draw):
+    kernel = draw(st.integers(1, 5))
+    in_channels = draw(st.integers(1, 3))
+    out_channels = draw(st.integers(1, 4))
+    stride = draw(st.integers(1, 3))
+    # Zero extra rows/columns makes the input exactly the kernel's size.
+    height = kernel + draw(st.integers(0, 7))
+    width = kernel + draw(st.integers(0, 7))
+    two_d = in_channels == 1 and draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    scale = draw(st.sampled_from([1e-3, 1.0, 255.0]))
+    shape = (height, width) if two_d else (height, width, in_channels)
+    tensor = rng.normal(0.0, scale, shape)
+    weights = rng.normal(0.0, 1.0, (kernel, kernel, in_channels, out_channels))
+    bias = rng.normal(0.0, 1.0, out_channels)
+    return tensor, weights, bias, stride
 
 
 class TestLayers:
@@ -40,6 +81,22 @@ class TestLayers:
             conv.forward(np.zeros((5, 5, 1)))
         with pytest.raises(ValueError):
             conv.forward(np.zeros((2, 2, 2)))
+        for shape in ((5,), (5, 5, 1, 1), (5, 5, 1, 3), (5, 5, 2, 1)):
+            with pytest.raises(ValueError, match=r"\(height, width\[, channels\]\)"):
+                conv.forward(np.zeros(shape))
+
+    @given(case=_conv_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_conv2d_matches_per_patch_oracle_bit_for_bit(self, case):
+        tensor, weights, bias, stride = case
+        conv = Conv2D(weights=weights, bias=bias, stride=stride)
+        output = conv.forward(tensor)
+        expected = _per_patch_conv2d(tensor, weights, bias, stride)
+        assert output.shape == expected.shape
+        assert np.array_equal(output, expected)
+        kh, kw, in_channels, out_channels = weights.shape
+        assert conv.macs(tensor.shape) == (output.shape[0] * output.shape[1]
+                                           * out_channels * kh * kw * in_channels)
 
     def test_relu_pool_flatten(self):
         tensor = np.array([[-1.0, 2.0], [3.0, -4.0]])
@@ -71,6 +128,49 @@ class TestLayers:
                                      Dense.from_random(2 * 6 * 6, 4)])
         assert network.macs((8, 8, 1)) == 6 * 6 * 2 * 9 + 4 * 72
         assert network.forward(np.zeros((8, 8))).shape == (4,)
+
+
+class TestPinnedParkingModel:
+    """E6's trained detector and TK1 task sizes, pinned to ``float.hex``.
+
+    Any drift in the convolution kernel, the dataset or the training loop
+    moves these bits; regenerate them only for a change meant to move E6.
+    """
+
+    WEIGHTS = ["0x1.0cd45e8816bdfp+2", "0x1.98e340a638f34p+0",
+               "0x1.a28cd11929881p-1"]
+    BIAS = ["0x1.3b69cedf6caf2p-1"]
+    MEAN = ["0x1.8e5eef57c78bbp-2", "0x1.4602d822bef40p-3",
+            "0x1.5ffd2d1e91607p-4"]
+    STD = ["0x1.44c04c373c006p-3", "0x1.e56cf2443c05bp-5",
+           "0x1.8e33b7a9a9bb9p-6"]
+    LOSS = "0x1.c24c218711475p-6"
+    WORK_UNITS = {"capture": "0x1.6bc0000000000p+24",
+                  "inference": "0x1.1c2e000000000p+28",
+                  "postprocess": "0x1.c6b0000000000p+23",
+                  "report": "0x1.6bc0000000000p+21"}
+
+    @staticmethod
+    def _hex(values):
+        return [float(value).hex() for value in np.ravel(values)]
+
+    def test_parking_network_is_pinned(self):
+        network = parking_network()
+        assert self._hex(network.classifier.weights) == self.WEIGHTS
+        assert self._hex(network.classifier.bias) == self.BIAS
+        assert self._hex(network._mean) == self.MEAN
+        assert self._hex(network._std) == self.STD
+
+    def test_final_training_loss_is_pinned(self):
+        # parking_network()'s defaults: 8 spots, seed 7, 40 training scenes.
+        dataset = ParkingDataset(spots=8, seed=7)
+        loss = ParkingNet(dataset).train(dataset.batch(40))
+        assert loss.hex() == self.LOSS
+
+    def test_tk1_work_units_are_pinned(self):
+        tasks = tk1_workload()
+        assert {task.name: float(task.work_units).hex()
+                for task in tasks} == self.WORK_UNITS
 
 
 class TestQuantisation:

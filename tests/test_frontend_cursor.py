@@ -30,6 +30,7 @@ from repro.frontend import ast_nodes as ast
 from repro.frontend import lexer, parser
 from repro.frontend.ast_nodes import ast_to_dict
 from repro.frontend.lexer import KIND_NAMES, scan, tokenize
+from repro.frontend.lowering import compile_source
 from repro.frontend.parser import (
     ParseCache,
     clear_parse_cache,
@@ -40,6 +41,7 @@ from repro.frontend.parser import (
 )
 from repro.frontend.pragmas import _PRAGMA_CACHE, parse_pragma_cached
 from repro.hw.presets import nucleo_stm32f091rc
+from repro.wcet.analyzer import WCETAnalyzer
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
 
@@ -275,6 +277,9 @@ _LITERAL_SITES = ("int g[4] = {1, 2};\n"
                   "    return x + 3;\n"
                   "}\n")
 _LITERAL_SPANS = [match.span() for match in re.finditer(r"\d+", _LITERAL_SITES)]
+_MUTATED_LITERALS = st.one_of(
+    st.from_regex(r"0[0-9xXbBoO_]{0,3}", fullmatch=True),
+    st.from_regex(r"[1-9][0-9a-fA-F_xX]{0,3}", fullmatch=True))
 
 
 class TestMalformedIntegerLiterals:
@@ -301,10 +306,7 @@ class TestMalformedIntegerLiterals:
         source = "int f(void) { return 0X1f + 00 + 0x0 + 10; }"
         assert parse(source) == parse_reference(source)
 
-    @given(site=st.sampled_from(_LITERAL_SPANS),
-           literal=st.one_of(
-               st.from_regex(r"0[0-9xXbBoO_]{0,3}", fullmatch=True),
-               st.from_regex(r"[1-9][0-9a-fA-F_xX]{0,3}", fullmatch=True)))
+    @given(site=st.sampled_from(_LITERAL_SPANS), literal=_MUTATED_LITERALS)
     @settings(max_examples=200, deadline=None)
     def test_mutated_literals_raise_only_teamplay_errors(self, site, literal):
         start, end = site
@@ -316,6 +318,25 @@ class TestMalformedIntegerLiterals:
             except TeamPlayError as error:
                 outcomes.append(str(error))
         assert outcomes[0] == outcomes[1]
+
+    @given(site=st.sampled_from(_LITERAL_SPANS),
+           literal=st.one_of(_MUTATED_LITERALS,
+                             st.integers(0, 4096).map(str),
+                             st.integers(0, 4096).map(hex)))
+    @settings(max_examples=200, deadline=None)
+    def test_parsed_mutants_compile_and_analyse_with_only_teamplay_errors(
+            self, site, literal):
+        start, end = site
+        source = _LITERAL_SITES[:start] + literal + _LITERAL_SITES[end:]
+        # Mutants the parser rejects are the property above; the rest must
+        # also compile and analyse without a raw Python exception.
+        try:
+            program = compile_source(source)
+            bound = WCETAnalyzer(nucleo_stm32f091rc()).analyze(
+                program, "f", path_sensitive=False)
+        except TeamPlayError:
+            return
+        assert bound.cycles > 0
 
 
 class TestTokenInterning:
