@@ -1,149 +1,242 @@
 """Source-level (AST) optimisation passes.
 
-All passes operate on a :class:`~repro.frontend.ast_nodes.SourceModule`
-*in place* and return a small integer describing how much work they did, so
-the driver can report which passes were effective for a configuration.
+Every pass takes a :class:`~repro.frontend.ast_nodes.SourceModule`, updates
+its functions' bodies and returns a small integer describing how much work
+it did, so the driver can report which passes were effective for a
+configuration.
+
+Unrolling splices the *same* statement objects into every unrolled copy,
+so after ``unroll_loops`` a module is a DAG, not a tree.  Folding and
+inlining are therefore copy-on-write: a rewritten node is a new node, an
+unchanged one is returned as is, and no statement or expression is ever
+assigned into (only a function's body list is replaced).  A statement
+shared by several copies is rewritten once and its count is added once
+per occurrence, so counts and the lowered IR are those of the equivalent
+tree.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from operator import is_not
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.frontend import ast_nodes as ast
+from repro.frontend.lowering import BINARY_OPCODES, UNARY_OPCODES
+from repro.ir.int32 import eval_binary, eval_unary, wrap32
 from repro.wcet.loopbounds import infer_for_bound
 
-_FOLDABLE_BINARY = {
-    "+": lambda a, b: a + b,
-    "-": lambda a, b: a - b,
-    "*": lambda a, b: a * b,
-    "/": lambda a, b: _c_div(a, b),
-    "%": lambda a, b: _c_mod(a, b),
-    "&": lambda a, b: a & b,
-    "|": lambda a, b: a | b,
-    "^": lambda a, b: a ^ b,
-    "<<": lambda a, b: a << (b & 31),
-    ">>": lambda a, b: (a & 0xFFFFFFFF) >> (b & 31),
-    "<": lambda a, b: int(a < b),
-    "<=": lambda a, b: int(a <= b),
-    ">": lambda a, b: int(a > b),
-    ">=": lambda a, b: int(a >= b),
-    "==": lambda a, b: int(a == b),
-    "!=": lambda a, b: int(a != b),
-    "&&": lambda a, b: int(bool(a) and bool(b)),
-    "||": lambda a, b: int(bool(a) or bool(b)),
-}
+#: Rewrites one expression copy-on-write, adding its rewrites to the counter.
+_ExprRewrite = Callable[[ast.Expr, List[int]], ast.Expr]
 
 
-def _c_div(a: int, b: int) -> int:
-    if b == 0:
-        raise ZeroDivisionError("constant division by zero")
-    quotient = abs(a) // abs(b)
-    return -quotient if (a < 0) != (b < 0) else quotient
+# ---------------------------------------------------------------------------
+# Copy-on-write statement traversal (shared by folding and inlining)
+# ---------------------------------------------------------------------------
+def _rewrite_body(body: List[ast.Stmt], rewrite: _ExprRewrite,
+                  counter: List[int],
+                  memo: Dict[int, Tuple]) -> List[ast.Stmt]:
+    """``body`` itself if no statement changed, else a new list."""
+    new = [_rewrite_stmt(stmt, rewrite, counter, memo) for stmt in body]
+    return new if any(map(is_not, new, body)) else body
 
 
-def _c_mod(a: int, b: int) -> int:
-    return a - _c_div(a, b) * b
+def _rewrite_stmt(stmt: ast.Stmt, rewrite: _ExprRewrite, counter: List[int],
+                  memo: Dict[int, Tuple]) -> ast.Stmt:
+    """Apply ``rewrite`` to every expression under ``stmt``.
+
+    ``memo`` maps a visited statement's ``id`` to ``(statement, result,
+    count)``: a statement shared by unrolled copies is rewritten once, and
+    every later occurrence reuses the result and adds the same count.  The
+    entry keeps the statement alive so its ``id`` cannot be reused.
+    """
+    hit = memo.get(id(stmt))
+    if hit is not None:
+        counter[0] += hit[2]
+        return hit[1]
+    before = counter[0]
+    new = _rewrite_fields(stmt, rewrite, counter, memo)
+    memo[id(stmt)] = (stmt, new, counter[0] - before)
+    return new
+
+
+def _rewrite_fields(stmt: ast.Stmt, rewrite: _ExprRewrite,
+                    counter: List[int], memo: Dict[int, Tuple]) -> ast.Stmt:
+    kind = type(stmt)
+    if kind is ast.Assign:
+        value = rewrite(stmt.value, counter)
+        target = stmt.target
+        if type(target) is ast.Index:
+            index = rewrite(target.index, counter)
+            if index is not target.index:
+                target = ast.Index(target.name, index, target.line)
+        if value is stmt.value and target is stmt.target:
+            return stmt
+        return ast.Assign(target, stmt.op, value, stmt.line)
+    if kind is ast.VarDecl:
+        if stmt.init is None:
+            return stmt
+        init = rewrite(stmt.init, counter)
+        if init is stmt.init:
+            return stmt
+        return ast.VarDecl(stmt.name, stmt.array_size, init, stmt.line)
+    if kind is ast.If:
+        cond = rewrite(stmt.cond, counter)
+        then_body = _rewrite_body(stmt.then_body, rewrite, counter, memo)
+        else_body = _rewrite_body(stmt.else_body, rewrite, counter, memo)
+        if (cond is stmt.cond and then_body is stmt.then_body
+                and else_body is stmt.else_body):
+            return stmt
+        return ast.If(cond, then_body, else_body, stmt.line)
+    if kind is ast.For:
+        init = (_rewrite_stmt(stmt.init, rewrite, counter, memo)
+                if stmt.init is not None else None)
+        cond = rewrite(stmt.cond, counter) if stmt.cond is not None else None
+        update = (_rewrite_stmt(stmt.update, rewrite, counter, memo)
+                  if stmt.update is not None else None)
+        body = _rewrite_body(stmt.body, rewrite, counter, memo)
+        if (init is stmt.init and cond is stmt.cond
+                and update is stmt.update and body is stmt.body):
+            return stmt
+        return ast.For(init, cond, update, body, stmt.bound, stmt.line)
+    if kind is ast.While:
+        cond = rewrite(stmt.cond, counter)
+        body = _rewrite_body(stmt.body, rewrite, counter, memo)
+        if cond is stmt.cond and body is stmt.body:
+            return stmt
+        return ast.While(cond, body, stmt.bound, stmt.line)
+    if kind is ast.Return:
+        if stmt.value is None:
+            return stmt
+        value = rewrite(stmt.value, counter)
+        return stmt if value is stmt.value else ast.Return(value, stmt.line)
+    if kind is ast.ExprStmt:
+        expr = rewrite(stmt.expr, counter)
+        return stmt if expr is stmt.expr else ast.ExprStmt(expr, stmt.line)
+    raise TypeError(f"unknown statement {kind!r}")  # pragma: no cover
+
+
+def _rewrite_module(module: ast.SourceModule, rewrite: _ExprRewrite) -> int:
+    """Rewrite every function body copy-on-write; returns the total count."""
+    counter = [0]
+    memo: Dict[int, Tuple] = {}
+    for function in module.functions:
+        function.body = _rewrite_body(function.body, rewrite, counter, memo)
+    return counter[0]
 
 
 # ---------------------------------------------------------------------------
 # Constant folding
 # ---------------------------------------------------------------------------
+def _fold_unary(op: str, value: int) -> Optional[int]:
+    """``op value`` as the target computes it (see :mod:`repro.ir.int32`)."""
+    opcode = UNARY_OPCODES.get(op)
+    return eval_unary(opcode, value) if opcode is not None else None
+
+
+def _fold_binary(op: str, lhs: int, rhs: int) -> Optional[int]:
+    """``lhs op rhs`` as the target computes it, or ``None`` (division by
+    zero, unknown operator).  ``&&``/``||`` combine the operands' truth
+    values without short-circuiting, as lowering emits them."""
+    if op == "&&":
+        return int(wrap32(lhs) != 0 and wrap32(rhs) != 0)
+    if op == "||":
+        return int(wrap32(lhs) != 0 or wrap32(rhs) != 0)
+    opcode = BINARY_OPCODES.get(op)
+    return eval_binary(opcode, lhs, rhs) if opcode is not None else None
+
+
 def _fold_expr(expr: ast.Expr, counter: List[int]) -> ast.Expr:
-    if isinstance(expr, (ast.Num, ast.Var)):
+    kind = type(expr)
+    if kind is ast.Num or kind is ast.Var:
         return expr
-    if isinstance(expr, ast.Index):
-        expr.index = _fold_expr(expr.index, counter)
-        return expr
-    if isinstance(expr, ast.Call):
-        expr.args = [_fold_expr(arg, counter) for arg in expr.args]
-        return expr
-    if isinstance(expr, ast.Unary):
-        expr.operand = _fold_expr(expr.operand, counter)
-        if isinstance(expr.operand, ast.Num):
-            value = expr.operand.value
-            counter[0] += 1
-            if expr.op == "-":
-                return ast.Num(-value, expr.line)
-            if expr.op == "~":
-                return ast.Num(~value, expr.line)
-            if expr.op == "!":
-                return ast.Num(int(value == 0), expr.line)
-        return expr
-    if isinstance(expr, ast.Binary):
-        expr.lhs = _fold_expr(expr.lhs, counter)
-        expr.rhs = _fold_expr(expr.rhs, counter)
-        if isinstance(expr.lhs, ast.Num) and isinstance(expr.rhs, ast.Num):
-            try:
-                value = _FOLDABLE_BINARY[expr.op](expr.lhs.value, expr.rhs.value)
-            except ZeroDivisionError:
-                return expr
+    if kind is ast.Binary:
+        lhs = _fold_expr(expr.lhs, counter)
+        rhs = _fold_expr(expr.rhs, counter)
+        lhs_num = type(lhs) is ast.Num
+        rhs_num = type(rhs) is ast.Num
+        if lhs_num and rhs_num:
+            value = _fold_binary(expr.op, lhs.value, rhs.value)
+            if value is None:
+                return _rebuilt_binary(expr, lhs, rhs)
             counter[0] += 1
             return ast.Num(value, expr.line)
         # Algebraic identities with a constant operand.
-        if isinstance(expr.rhs, ast.Num):
-            if expr.op in ("+", "-", "|", "^", "<<", ">>") and expr.rhs.value == 0:
+        op = expr.op
+        if rhs_num:
+            if op in ("+", "-", "|", "^", "<<", ">>") and rhs.value == 0:
                 counter[0] += 1
-                return expr.lhs
-            if expr.op == "*" and expr.rhs.value == 1:
+                return lhs
+            if op == "*" and rhs.value == 1:
                 counter[0] += 1
-                return expr.lhs
-            if expr.op == "*" and expr.rhs.value == 0:
-                counter[0] += 1
-                return ast.Num(0, expr.line)
-            if expr.op == "/" and expr.rhs.value == 1:
-                counter[0] += 1
-                return expr.lhs
-        if isinstance(expr.lhs, ast.Num):
-            if expr.op in ("+", "|", "^") and expr.lhs.value == 0:
-                counter[0] += 1
-                return expr.rhs
-            if expr.op == "*" and expr.lhs.value == 1:
-                counter[0] += 1
-                return expr.rhs
-            if expr.op == "*" and expr.lhs.value == 0:
+                return lhs
+            if op == "*" and rhs.value == 0 and _droppable(lhs):
                 counter[0] += 1
                 return ast.Num(0, expr.line)
+            if op == "/" and rhs.value == 1:
+                counter[0] += 1
+                return lhs
+        if lhs_num:
+            if op in ("+", "|", "^") and lhs.value == 0:
+                counter[0] += 1
+                return rhs
+            if op == "*" and lhs.value == 1:
+                counter[0] += 1
+                return rhs
+            if op == "*" and lhs.value == 0 and _droppable(rhs):
+                counter[0] += 1
+                return ast.Num(0, expr.line)
+        return _rebuilt_binary(expr, lhs, rhs)
+    if kind is ast.Index:
+        index = _fold_expr(expr.index, counter)
+        if index is expr.index:
+            return expr
+        return ast.Index(expr.name, index, expr.line)
+    if kind is ast.Unary:
+        operand = _fold_expr(expr.operand, counter)
+        if type(operand) is ast.Num:
+            value = _fold_unary(expr.op, operand.value)
+            if value is not None:
+                counter[0] += 1
+                return ast.Num(value, expr.line)
+        if operand is expr.operand:
+            return expr
+        return ast.Unary(expr.op, operand, expr.line)
+    if kind is ast.Call:
+        args = [_fold_expr(arg, counter) for arg in expr.args]
+        if not any(map(is_not, args, expr.args)):
+            return expr
+        return ast.Call(expr.name, args, expr.line)
+    raise TypeError(f"unknown expression {kind!r}")  # pragma: no cover
+
+
+def _droppable(expr: ast.Expr) -> bool:
+    """Whether ``x * 0`` may skip evaluating ``expr``: it calls nothing
+    (calls may store to globals) and cannot trap (no array load, which may
+    be out of bounds, and no division, which may divide by zero)."""
+    for node in ast.walk_expr(expr):
+        kind = type(node)
+        if kind is ast.Call or kind is ast.Index:
+            return False
+        if kind is ast.Binary and (node.op == "/" or node.op == "%"):
+            return False
+    return True
+
+
+def _rebuilt_binary(expr: ast.Binary, lhs: ast.Expr,
+                    rhs: ast.Expr) -> ast.Expr:
+    if lhs is expr.lhs and rhs is expr.rhs:
         return expr
-    raise TypeError(f"unknown expression {type(expr)!r}")  # pragma: no cover
-
-
-def _fold_stmt(stmt: ast.Stmt, counter: List[int]) -> None:
-    if isinstance(stmt, ast.VarDecl) and stmt.init is not None:
-        stmt.init = _fold_expr(stmt.init, counter)
-    elif isinstance(stmt, ast.Assign):
-        stmt.value = _fold_expr(stmt.value, counter)
-        if isinstance(stmt.target, ast.Index):
-            stmt.target.index = _fold_expr(stmt.target.index, counter)
-    elif isinstance(stmt, ast.If):
-        stmt.cond = _fold_expr(stmt.cond, counter)
-        for child in stmt.then_body + stmt.else_body:
-            _fold_stmt(child, counter)
-    elif isinstance(stmt, ast.While):
-        stmt.cond = _fold_expr(stmt.cond, counter)
-        for child in stmt.body:
-            _fold_stmt(child, counter)
-    elif isinstance(stmt, ast.For):
-        if stmt.init is not None:
-            _fold_stmt(stmt.init, counter)
-        if stmt.cond is not None:
-            stmt.cond = _fold_expr(stmt.cond, counter)
-        if stmt.update is not None:
-            _fold_stmt(stmt.update, counter)
-        for child in stmt.body:
-            _fold_stmt(child, counter)
-    elif isinstance(stmt, ast.Return) and stmt.value is not None:
-        stmt.value = _fold_expr(stmt.value, counter)
-    elif isinstance(stmt, ast.ExprStmt):
-        stmt.expr = _fold_expr(stmt.expr, counter)
+    return ast.Binary(expr.op, lhs, rhs, expr.line)
 
 
 def fold_constants(module: ast.SourceModule) -> int:
-    """Fold constant sub-expressions; returns the number of folds performed."""
-    counter = [0]
-    for function in module.functions:
-        for stmt in function.body:
-            _fold_stmt(stmt, counter)
-    return counter[0]
+    """Fold constant sub-expressions; returns the number of folds performed.
+
+    Folds evaluate with the target's 32-bit semantics, so the folded
+    program computes exactly what the unfolded one does.  Division by zero
+    is never folded: it must keep trapping at run time.
+    """
+    return _rewrite_module(module, _fold_expr)
 
 
 # ---------------------------------------------------------------------------
@@ -171,10 +264,11 @@ def _unroll_body(body: List[ast.Stmt], limit: int, counter: List[int]) -> List[a
                 counter[0] += 1
                 if stmt.init is not None:
                     result.append(stmt.init)
-                for _ in range(bound):
-                    result.extend(ast.clone_stmt(s) for s in stmt.body)
-                    if stmt.update is not None:
-                        result.append(ast.clone_stmt(stmt.update))
+                # Every copy is the same statement objects (by reference):
+                # nothing is substituted, and later passes are copy-on-write.
+                copy = stmt.body if stmt.update is None \
+                    else stmt.body + [stmt.update]
+                result.extend(copy * bound)
                 continue
             result.append(stmt)
             continue
@@ -186,7 +280,10 @@ def unroll_loops(module: ast.SourceModule, limit: int) -> int:
     """Fully unroll counted loops with trip count ≤ ``limit``.
 
     Returns the number of loops unrolled.  ``limit`` of zero disables the
-    pass.
+    pass.  The copies of an unrolled body share its statement objects, so
+    the result is a DAG (see the module docstring).  Compound statements'
+    bodies are rebuilt in place, so the input must be a tree that nothing
+    else refers to (the pipeline unrolls a private clone).
     """
     if limit <= 0:
         return 0
@@ -240,29 +337,36 @@ def _substitute(expr: ast.Expr, bindings: Dict[str, ast.Expr]) -> ast.Expr:
 
 def _inline_expr(expr: ast.Expr, inlinable: Dict[str, ast.FunctionDef],
                  counter: List[int]) -> ast.Expr:
-    if isinstance(expr, (ast.Num, ast.Var)):
+    kind = type(expr)
+    if kind is ast.Num or kind is ast.Var:
         return expr
-    if isinstance(expr, ast.Index):
-        expr.index = _inline_expr(expr.index, inlinable, counter)
-        return expr
-    if isinstance(expr, ast.Unary):
-        expr.operand = _inline_expr(expr.operand, inlinable, counter)
-        return expr
-    if isinstance(expr, ast.Binary):
-        expr.lhs = _inline_expr(expr.lhs, inlinable, counter)
-        expr.rhs = _inline_expr(expr.rhs, inlinable, counter)
-        return expr
-    if isinstance(expr, ast.Call):
-        expr.args = [_inline_expr(arg, inlinable, counter) for arg in expr.args]
+    if kind is ast.Binary:
+        lhs = _inline_expr(expr.lhs, inlinable, counter)
+        rhs = _inline_expr(expr.rhs, inlinable, counter)
+        return _rebuilt_binary(expr, lhs, rhs)
+    if kind is ast.Index:
+        index = _inline_expr(expr.index, inlinable, counter)
+        if index is expr.index:
+            return expr
+        return ast.Index(expr.name, index, expr.line)
+    if kind is ast.Unary:
+        operand = _inline_expr(expr.operand, inlinable, counter)
+        if operand is expr.operand:
+            return expr
+        return ast.Unary(expr.op, operand, expr.line)
+    if kind is ast.Call:
+        args = [_inline_expr(arg, inlinable, counter) for arg in expr.args]
         callee = inlinable.get(expr.name)
-        if callee is not None and len(expr.args) == len(callee.params):
+        if callee is not None and len(args) == len(callee.params):
             body_expr = _simple_function_expression(callee)
             if body_expr is not None:
                 counter[0] += 1
-                bindings = dict(zip(callee.params, expr.args))
+                bindings = dict(zip(callee.params, args))
                 return _substitute(body_expr, bindings)
-        return expr
-    raise TypeError(f"unknown expression {type(expr)!r}")  # pragma: no cover
+        if not any(map(is_not, args, expr.args)):
+            return expr
+        return ast.Call(expr.name, args, expr.line)
+    raise TypeError(f"unknown expression {kind!r}")  # pragma: no cover
 
 
 def inline_simple_functions(module: ast.SourceModule) -> int:
@@ -271,22 +375,5 @@ def inline_simple_functions(module: ast.SourceModule) -> int:
                  if _simple_function_expression(fn) is not None}
     if not inlinable:
         return 0
-    counter = [0]
-    for function in module.functions:
-        for stmt in ast.walk_stmts(function.body):
-            if isinstance(stmt, ast.VarDecl) and stmt.init is not None:
-                stmt.init = _inline_expr(stmt.init, inlinable, counter)
-            elif isinstance(stmt, ast.Assign):
-                stmt.value = _inline_expr(stmt.value, inlinable, counter)
-                if isinstance(stmt.target, ast.Index):
-                    stmt.target.index = _inline_expr(stmt.target.index,
-                                                     inlinable, counter)
-            elif isinstance(stmt, (ast.If, ast.While)):
-                stmt.cond = _inline_expr(stmt.cond, inlinable, counter)
-            elif isinstance(stmt, ast.For) and stmt.cond is not None:
-                stmt.cond = _inline_expr(stmt.cond, inlinable, counter)
-            elif isinstance(stmt, ast.Return) and stmt.value is not None:
-                stmt.value = _inline_expr(stmt.value, inlinable, counter)
-            elif isinstance(stmt, ast.ExprStmt):
-                stmt.expr = _inline_expr(stmt.expr, inlinable, counter)
-    return counter[0]
+    return _rewrite_module(
+        module, lambda expr, counter: _inline_expr(expr, inlinable, counter))

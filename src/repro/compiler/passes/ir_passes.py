@@ -17,6 +17,7 @@ from typing import Dict, Optional, Tuple
 
 from repro.ir.cfg import Program
 from repro.ir.instructions import COMMUTATIVE, Imm, Instr, Opcode, Reg
+from repro.ir.int32 import eval_binary, eval_unary, wrap32
 
 #: Opcodes that must never be removed even if their destination is unused.
 _SIDE_EFFECTS = {Opcode.STORE, Opcode.CALL, Opcode.RET, Opcode.BR, Opcode.JMP}
@@ -232,67 +233,6 @@ def strength_reduce(program: Program) -> int:
 # ---------------------------------------------------------------------------
 # Peephole simplification (algebraic identities, IR-level constant folding)
 # ---------------------------------------------------------------------------
-_INT_MASK = 0xFFFFFFFF
-_INT_SIGN = 0x80000000
-
-
-def _wrap32(value: int) -> int:
-    """Wrap to signed 32-bit two's complement (the simulator's semantics)."""
-    value &= _INT_MASK
-    if value & _INT_SIGN:
-        value -= 1 << 32
-    return value
-
-
-def _c_div32(lhs: int, rhs: int) -> int:
-    quotient = abs(lhs) // abs(rhs)
-    return -quotient if (lhs < 0) != (rhs < 0) else quotient
-
-
-def _fold_binary(opcode: Opcode, lhs: int, rhs: int) -> Optional[int]:
-    """Constant-fold one binary operation, mirroring the simulator exactly
-    (32-bit wrap-around, C-style truncating division, shift counts mod 32).
-    Returns ``None`` when the operation cannot be folded (division by zero
-    must keep trapping at run time)."""
-    # The simulator wraps operands on read, so fold from the wrapped values.
-    lhs, rhs = _wrap32(lhs), _wrap32(rhs)
-    if opcode is Opcode.ADD:
-        return _wrap32(lhs + rhs)
-    if opcode is Opcode.SUB:
-        return _wrap32(lhs - rhs)
-    if opcode is Opcode.MUL:
-        return _wrap32(lhs * rhs)
-    if opcode in (Opcode.DIV, Opcode.MOD):
-        if rhs == 0:
-            return None
-        quotient = _c_div32(lhs, rhs)
-        return _wrap32(quotient if opcode is Opcode.DIV
-                       else lhs - quotient * rhs)
-    if opcode is Opcode.AND:
-        return _wrap32(lhs & rhs)
-    if opcode is Opcode.OR:
-        return _wrap32(lhs | rhs)
-    if opcode is Opcode.XOR:
-        return _wrap32(lhs ^ rhs)
-    if opcode is Opcode.SHL:
-        return _wrap32((lhs & _INT_MASK) << (rhs & 31))
-    if opcode is Opcode.SHR:
-        return _wrap32((lhs & _INT_MASK) >> (rhs & 31))
-    if opcode is Opcode.CMPEQ:
-        return int(lhs == rhs)
-    if opcode is Opcode.CMPNE:
-        return int(lhs != rhs)
-    if opcode is Opcode.CMPLT:
-        return int(lhs < rhs)
-    if opcode is Opcode.CMPLE:
-        return int(lhs <= rhs)
-    if opcode is Opcode.CMPGT:
-        return int(lhs > rhs)
-    if opcode is Opcode.CMPGE:
-        return int(lhs >= rhs)
-    return None
-
-
 #: Same-register identities: ``op x, x`` folds without knowing ``x``.
 _SAME_REG_ZERO = frozenset((Opcode.SUB, Opcode.XOR, Opcode.CMPNE,
                             Opcode.CMPLT, Opcode.CMPGT))
@@ -313,7 +253,7 @@ def _peephole_rewrite(instr: Instr) -> Optional[Instr]:
     if len(srcs) == 2:
         lhs, rhs = srcs
         if isinstance(lhs, Imm) and isinstance(rhs, Imm):
-            folded = _fold_binary(opcode, lhs.value, rhs.value)
+            folded = eval_binary(opcode, lhs.value, rhs.value)
             if folded is not None:
                 return Instr(Opcode.MOV, dst=dst, srcs=(Imm(folded),))
         if isinstance(lhs, Reg) and isinstance(rhs, Reg) \
@@ -327,21 +267,16 @@ def _peephole_rewrite(instr: Instr) -> Optional[Instr]:
         return None
 
     if len(srcs) == 1 and isinstance(srcs[0], Imm):
-        value = _wrap32(srcs[0].value)
-        if opcode is Opcode.NEG:
-            return Instr(Opcode.MOV, dst=dst, srcs=(Imm(_wrap32(-value)),))
-        if opcode is Opcode.NOT:
-            return Instr(Opcode.MOV, dst=dst, srcs=(Imm(_wrap32(~value)),))
-        if opcode is Opcode.LNOT:
-            return Instr(Opcode.MOV, dst=dst,
-                         srcs=(Imm(0 if value != 0 else 1),))
+        folded = eval_unary(opcode, srcs[0].value)
+        if folded is not None:
+            return Instr(Opcode.MOV, dst=dst, srcs=(Imm(folded),))
         return None
 
     if opcode is Opcode.SELECT and len(srcs) == 3:
         cond, if_true, if_false = srcs
         if isinstance(cond, Imm):
             return Instr(Opcode.MOV, dst=dst,
-                         srcs=(if_true if _wrap32(cond.value) != 0
+                         srcs=(if_true if wrap32(cond.value) != 0
                                else if_false,))
         if if_true == if_false:
             return Instr(Opcode.MOV, dst=dst, srcs=(if_true,))

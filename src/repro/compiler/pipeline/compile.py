@@ -27,8 +27,10 @@ from repro.ir.cfg import Program
 #: prefix and the per-unroll-limit suffix (the lowering cache's two tables).
 _UNROLL_PASS = "unroll-loops"
 
-#: Re-run after unrolling when both are enabled (unrolling exposes new
-#: constant-index expressions; the counter accumulates over both rounds).
+#: Re-run after unrolling when both are enabled; the counter accumulates
+#: over both rounds.  Unrolling substitutes nothing, so it exposes no new
+#: constants: the second round folds what inlining exposed (inlined bodies
+#: with constant arguments).
 _FOLD_PASS = "constant-folding"
 
 
@@ -91,12 +93,13 @@ class CompilationPipeline:
     def unroll_and_lower(self, working: ast.SourceModule,
                          config: CompilerConfig,
                          statistics: Dict[str, int]) -> Program:
-        """Unroll (mutating ``working`` in place) and lower to IR.
+        """Unroll (rebuilding ``working``'s bodies in place) and lower to IR.
 
-        Unrolling exposes constant-index expressions, so the folding pass
-        runs a second round when both are enabled (its counter
-        accumulates).  AST passes registered *after* ``unroll-loops`` run
-        here, before lowering.
+        The folding pass runs a second round when both are enabled (its
+        counter accumulates; see ``_FOLD_PASS``).  AST passes registered
+        *after* ``unroll-loops`` run here, before lowering; unrolled copies
+        share statement objects, so such a pass must rebuild the nodes it
+        changes rather than assign into them (``docs/passes.md``).
         """
         ctx = PassContext(config=config, platform=self.platform,
                           module=working, statistics=statistics)

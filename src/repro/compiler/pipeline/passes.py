@@ -65,7 +65,7 @@ def _no_key(config: CompilerConfig) -> Tuple:
 class PassContext:
     """Mutable state threaded through the passes of one build.
 
-    AST-stage passes read and replace ``module``; the lowering pass fills
+    AST-stage passes rebuild ``module`` copy-on-write; the lowering pass fills
     ``program``; IR/backend passes mutate ``program`` in place.  Every pass
     records its counters under its statistic name in ``statistics`` (the
     dict that ends up as ``Variant.pass_statistics``).
@@ -117,8 +117,8 @@ def _harden_security(ctx: PassContext) -> None:
 
 
 def _fold_constants(ctx: PassContext) -> None:
-    # Accumulates: the pass runs again after unrolling exposes new
-    # constant-index expressions, and both rounds report one counter.
+    # Accumulates: the pass runs again after unrolling (folding what
+    # inlining exposed), and both rounds report one counter.
     ctx.statistics["constant_folds"] = (
         ctx.statistics.get("constant_folds", 0) + fold_constants(ctx.module))
 

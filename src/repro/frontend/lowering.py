@@ -24,10 +24,11 @@ from repro.frontend import ast_nodes as ast
 from repro.frontend.parser import parse
 from repro.ir import cfg as ircfg
 from repro.ir import instructions as ins
-from repro.ir.instructions import Imm, Opcode, Operand, Reg
+from repro.ir.instructions import Imm, Instr, Opcode, Operand, Reg
 from repro.ir.regions import BlockRegion, IfRegion, LoopRegion, SeqRegion
 
-_BINOP_OPCODES = {
+#: Source binary operator -> IR opcode (``&&``/``||`` are lowered apart).
+BINARY_OPCODES = {
     "+": Opcode.ADD, "-": Opcode.SUB, "*": Opcode.MUL, "/": Opcode.DIV,
     "%": Opcode.MOD, "&": Opcode.AND, "|": Opcode.OR, "^": Opcode.XOR,
     "<<": Opcode.SHL, ">>": Opcode.SHR,
@@ -35,7 +36,7 @@ _BINOP_OPCODES = {
     ">=": Opcode.CMPGE, "==": Opcode.CMPEQ, "!=": Opcode.CMPNE,
 }
 
-_UNOP_OPCODES = {"-": Opcode.NEG, "~": Opcode.NOT, "!": Opcode.LNOT}
+UNARY_OPCODES = {"-": Opcode.NEG, "~": Opcode.NOT, "!": Opcode.LNOT}
 
 _COMPOUND_OPS = {
     "+=": Opcode.ADD, "-=": Opcode.SUB, "*=": Opcode.MUL, "/=": Opcode.DIV,
@@ -54,6 +55,10 @@ class _FunctionLowerer:
         self.function_names = set(function_names)
         self.fn = ircfg.Function(name=funcdef.name, params=list(funcdef.params))
         self.scalars = set(funcdef.params)
+        # Interned operands: ``Reg``/``Imm`` are frozen and compare by
+        # value, so one object per name / value serves the whole function.
+        self._regs: Dict[str, Reg] = {}
+        self._imms: Dict[int, Imm] = {}
         self.temp_counter = 0
         self.label_counter = 0
         self.loop_counter = 0
@@ -72,9 +77,26 @@ class _FunctionLowerer:
         label = f"{hint}.{self.label_counter}"
         return self.fn.add_block(ircfg.BasicBlock(label))
 
-    def emit(self, instr: ins.Instr) -> None:
-        assert self.current is not None
-        self.current.instrs.append(instr)
+    def reg(self, name: str) -> Reg:
+        """The interned register of variable ``name``."""
+        reg = self._regs.get(name)
+        if reg is None:
+            reg = self._regs[name] = Reg(name)
+        return reg
+
+    def imm(self, value: int) -> Imm:
+        """The interned immediate ``value``."""
+        imm = self._imms.get(value)
+        if imm is None:
+            imm = self._imms[value] = Imm(value)
+        return imm
+
+    def scalar(self, expr: ast.Var) -> Reg:
+        """The register read by ``expr`` (a declared scalar)."""
+        if expr.name not in self.scalars:
+            raise self._error(f"use of undeclared variable {expr.name!r}",
+                              expr.line)
+        return self.reg(expr.name)
 
     # -- entry point ---------------------------------------------------------------
     def lower(self) -> ircfg.Function:
@@ -84,10 +106,9 @@ class _FunctionLowerer:
         self.current = entry
         region = self.lower_statements(self.funcdef.body)
         if self.current.terminator is None:
-            self.emit(ins.ret(Imm(0)))
+            self.current.instrs.append(ins.ret(self.imm(0)))
         self.fn.region = region
         self._prune_unreachable()
-        self.fn.validate()
         return self.fn
 
     def _prune_unreachable(self) -> None:
@@ -143,22 +164,23 @@ class _FunctionLowerer:
         return seq
 
     def lower_statement(self, stmt: ast.Stmt, seq: SeqRegion) -> None:
-        if isinstance(stmt, ast.VarDecl):
-            self._lower_vardecl(stmt)
-        elif isinstance(stmt, ast.Assign):
+        kind = type(stmt)
+        if kind is ast.Assign:
             self._lower_assign(stmt)
-        elif isinstance(stmt, ast.Return):
+        elif kind is ast.VarDecl:
+            self._lower_vardecl(stmt)
+        elif kind is ast.Return:
             self._lower_return(stmt, seq)
-        elif isinstance(stmt, ast.ExprStmt):
+        elif kind is ast.ExprStmt:
             self.lower_expr(stmt.expr)
-        elif isinstance(stmt, ast.If):
+        elif kind is ast.If:
             self._lower_if(stmt, seq)
-        elif isinstance(stmt, ast.While):
+        elif kind is ast.While:
             self._lower_while(stmt, seq)
-        elif isinstance(stmt, ast.For):
+        elif kind is ast.For:
             self._lower_for(stmt, seq)
         else:  # pragma: no cover - defensive
-            raise self._error(f"unsupported statement {type(stmt).__name__}")
+            raise self._error(f"unsupported statement {kind.__name__}")
 
     def _lower_vardecl(self, stmt: ast.VarDecl) -> None:
         if stmt.array_size is not None:
@@ -169,45 +191,50 @@ class _FunctionLowerer:
         self.scalars.add(stmt.name)
         if stmt.init is not None:
             value = self.lower_expr(stmt.init)
-            self.emit(ins.mov(Reg(stmt.name), value))
+            self.current.instrs.append(ins.mov(self.reg(stmt.name), value))
         else:
-            self.emit(ins.mov(Reg(stmt.name), Imm(0)))
+            self.current.instrs.append(
+                ins.mov(self.reg(stmt.name), self.imm(0)))
 
     def _lower_assign(self, stmt: ast.Assign) -> None:
         target = stmt.target
-        if isinstance(target, ast.Var):
+        if type(target) is ast.Var:
             if target.name not in self.scalars:
                 raise self._error(f"assignment to undeclared variable "
                                   f"{target.name!r}", stmt.line)
-            dst = Reg(target.name)
+            dst = self.reg(target.name)
             if stmt.op == "=":
                 value = self.lower_expr(stmt.value)
-                self.emit(ins.mov(dst, value))
+                self.current.instrs.append(ins.mov(dst, value))
             else:
                 opcode = _COMPOUND_OPS[stmt.op]
                 value = self.lower_expr(stmt.value)
-                self.emit(ins.binop(opcode, dst, dst, value))
+                self.current.instrs.append(ins.binop(opcode, dst, dst, value))
             return
-        if isinstance(target, ast.Index):
+        if type(target) is ast.Index:
             self._check_array(target.name, stmt.line)
             index = self.lower_expr(target.index)
             if stmt.op == "=":
                 value = self.lower_expr(stmt.value)
-                self.emit(ins.store(target.name, index, value))
+                self.current.instrs.append(
+                    ins.store(target.name, index, value))
             else:
                 opcode = _COMPOUND_OPS[stmt.op]
                 old = self.new_temp()
-                self.emit(ins.load(old, target.name, index))
+                self.current.instrs.append(ins.load(old, target.name, index))
                 value = self.lower_expr(stmt.value)
                 result = self.new_temp()
-                self.emit(ins.binop(opcode, result, old, value))
-                self.emit(ins.store(target.name, index, result))
+                self.current.instrs.append(
+                    ins.binop(opcode, result, old, value))
+                self.current.instrs.append(
+                    ins.store(target.name, index, result))
             return
         raise self._error("invalid assignment target", stmt.line)
 
     def _lower_return(self, stmt: ast.Return, seq: SeqRegion) -> None:
-        value = self.lower_expr(stmt.value) if stmt.value is not None else Imm(0)
-        self.emit(ins.ret(value))
+        value = (self.lower_expr(stmt.value) if stmt.value is not None
+                 else self.imm(0))
+        self.current.instrs.append(ins.ret(value))
         # Code textually after a return goes into an unreachable block so the
         # current block keeps a single terminator; the finished block joins
         # the region tree here because the end-of-list append will only see
@@ -217,7 +244,7 @@ class _FunctionLowerer:
 
     def _lower_if(self, stmt: ast.If, seq: SeqRegion) -> None:
         cond_block = self.new_block("if.cond")
-        self.emit(ins.jump(cond_block.label))
+        self.current.instrs.append(ins.jump(cond_block.label))
         seq.children.append(BlockRegion(self.current.label))
 
         self.current = cond_block
@@ -227,35 +254,37 @@ class _FunctionLowerer:
         join_block = self.new_block("if.join")
         # The branch must live in the block where the condition was computed,
         # which may have changed if the condition contained nested statements.
-        self.emit(ins.branch(cond_value, then_block.label, else_block.label))
+        self.current.instrs.append(
+            ins.branch(cond_value, then_block.label, else_block.label))
         cond_label = self.current.label
 
         self.current = then_block
         then_region = self.lower_statements(stmt.then_body)
-        self.emit(ins.jump(join_block.label))
+        self.current.instrs.append(ins.jump(join_block.label))
 
         self.current = else_block
         else_region = self.lower_statements(stmt.else_body)
-        self.emit(ins.jump(join_block.label))
+        self.current.instrs.append(ins.jump(join_block.label))
 
         seq.children.append(IfRegion(cond_label, then_region, else_region))
         self.current = join_block
 
     def _lower_while(self, stmt: ast.While, seq: SeqRegion) -> None:
         cond_block = self.new_block("while.cond")
-        self.emit(ins.jump(cond_block.label))
+        self.current.instrs.append(ins.jump(cond_block.label))
         seq.children.append(BlockRegion(self.current.label))
 
         self.current = cond_block
         cond_value = self.lower_expr(stmt.cond)
         body_block = self.new_block("while.body")
         exit_block = self.new_block("while.exit")
-        self.emit(ins.branch(cond_value, body_block.label, exit_block.label))
+        self.current.instrs.append(
+            ins.branch(cond_value, body_block.label, exit_block.label))
         cond_label = self.current.label
 
         self.current = body_block
         body_region = self.lower_statements(stmt.body)
-        self.emit(ins.jump(cond_block.label))
+        self.current.instrs.append(ins.jump(cond_block.label))
 
         self.loop_counter += 1
         seq.children.append(LoopRegion(cond_label, body_region,
@@ -268,17 +297,18 @@ class _FunctionLowerer:
         if stmt.init is not None:
             self.lower_statement(stmt.init, seq)
         cond_block = self.new_block("for.cond")
-        self.emit(ins.jump(cond_block.label))
+        self.current.instrs.append(ins.jump(cond_block.label))
         seq.children.append(BlockRegion(self.current.label))
 
         self.current = cond_block
         if stmt.cond is not None:
             cond_value = self.lower_expr(stmt.cond)
         else:
-            cond_value = Imm(1)
+            cond_value = self.imm(1)
         body_block = self.new_block("for.body")
         exit_block = self.new_block("for.exit")
-        self.emit(ins.branch(cond_value, body_block.label, exit_block.label))
+        self.current.instrs.append(
+            ins.branch(cond_value, body_block.label, exit_block.label))
         cond_label = self.current.label
 
         self.current = body_block
@@ -286,7 +316,7 @@ class _FunctionLowerer:
         if stmt.update is not None:
             body_stmts.append(stmt.update)
         body_region = self.lower_statements(body_stmts)
-        self.emit(ins.jump(cond_block.label))
+        self.current.instrs.append(ins.jump(cond_block.label))
 
         self.loop_counter += 1
         seq.children.append(LoopRegion(cond_label, body_region,
@@ -301,49 +331,66 @@ class _FunctionLowerer:
             raise self._error(f"unknown array {name!r}", line)
 
     def lower_expr(self, expr: ast.Expr) -> Operand:
-        if isinstance(expr, ast.Num):
-            return Imm(expr.value)
-        if isinstance(expr, ast.Var):
-            if expr.name not in self.scalars:
-                raise self._error(f"use of undeclared variable {expr.name!r}",
-                                  expr.line)
-            return Reg(expr.name)
-        if isinstance(expr, ast.Index):
+        kind = type(expr)
+        if kind is ast.Binary:
+            return self._lower_binary(expr)
+        if kind is ast.Var:
+            return self._regs.get(expr.name) or self.scalar(expr)
+        if kind is ast.Num:
+            return self._imms.get(expr.value) or self.imm(expr.value)
+        if kind is ast.Index:
             self._check_array(expr.name, expr.line)
             index = self.lower_expr(expr.index)
             dst = self.new_temp()
-            self.emit(ins.load(dst, expr.name, index))
+            self.current.instrs.append(
+                Instr(Opcode.LOAD, dst, (index,), expr.name))
             return dst
-        if isinstance(expr, ast.Unary):
+        if kind is ast.Unary:
             operand = self.lower_expr(expr.operand)
             dst = self.new_temp()
-            self.emit(ins.unop(_UNOP_OPCODES[expr.op], dst, operand))
+            self.current.instrs.append(
+                Instr(UNARY_OPCODES[expr.op], dst, (operand,)))
             return dst
-        if isinstance(expr, ast.Binary):
-            return self._lower_binary(expr)
-        if isinstance(expr, ast.Call):
+        if kind is ast.Call:
             return self._lower_call(expr)
-        raise self._error(f"unsupported expression {type(expr).__name__}")
+        raise self._error(f"unsupported expression {kind.__name__}")
 
     def _lower_binary(self, expr: ast.Binary) -> Operand:
-        if expr.op in ("&&", "||"):
-            lhs = self.lower_expr(expr.lhs)
-            rhs = self.lower_expr(expr.rhs)
+        op = expr.op
+        opcode = BINARY_OPCODES.get(op)
+        if opcode is None and op != "&&" and op != "||":
+            raise self._error(f"unsupported operator {op!r}", expr.line)
+        # Variable and literal operands are the common case: resolve them
+        # here rather than through a recursive ``lower_expr`` call.
+        lhs = expr.lhs
+        kind = type(lhs)
+        if kind is ast.Var:
+            lhs = self._regs.get(lhs.name) or self.scalar(lhs)
+        elif kind is ast.Num:
+            lhs = self._imms.get(lhs.value) or self.imm(lhs.value)
+        else:
+            lhs = self.lower_expr(lhs)
+        rhs = expr.rhs
+        kind = type(rhs)
+        if kind is ast.Var:
+            rhs = self._regs.get(rhs.name) or self.scalar(rhs)
+        elif kind is ast.Num:
+            rhs = self._imms.get(rhs.value) or self.imm(rhs.value)
+        else:
+            rhs = self.lower_expr(rhs)
+        instrs = self.current.instrs
+        if opcode is None:
+            zero = self.imm(0)
             lhs_bool = self.new_temp()
             rhs_bool = self.new_temp()
-            self.emit(ins.binop(Opcode.CMPNE, lhs_bool, lhs, Imm(0)))
-            self.emit(ins.binop(Opcode.CMPNE, rhs_bool, rhs, Imm(0)))
+            instrs.append(Instr(Opcode.CMPNE, lhs_bool, (lhs, zero)))
+            instrs.append(Instr(Opcode.CMPNE, rhs_bool, (rhs, zero)))
             dst = self.new_temp()
-            opcode = Opcode.AND if expr.op == "&&" else Opcode.OR
-            self.emit(ins.binop(opcode, dst, lhs_bool, rhs_bool))
+            instrs.append(Instr(Opcode.AND if op == "&&" else Opcode.OR,
+                                dst, (lhs_bool, rhs_bool)))
             return dst
-        opcode = _BINOP_OPCODES.get(expr.op)
-        if opcode is None:
-            raise self._error(f"unsupported operator {expr.op!r}", expr.line)
-        lhs = self.lower_expr(expr.lhs)
-        rhs = self.lower_expr(expr.rhs)
         dst = self.new_temp()
-        self.emit(ins.binop(opcode, dst, lhs, rhs))
+        instrs.append(Instr(opcode, dst, (lhs, rhs)))
         return dst
 
     def _lower_call(self, expr: ast.Call) -> Operand:
@@ -352,7 +399,7 @@ class _FunctionLowerer:
                               expr.line)
         args = tuple(self.lower_expr(arg) for arg in expr.args)
         dst = self.new_temp()
-        self.emit(ins.call(dst, expr.name, args))
+        self.current.instrs.append(ins.call(dst, expr.name, args))
         return dst
 
 

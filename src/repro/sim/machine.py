@@ -19,21 +19,7 @@ from repro.hw.dvfs import OperatingPoint
 from repro.hw.platform import Platform
 from repro.ir.cfg import Function, Program
 from repro.ir.instructions import Imm, Instr, Opcode, Operand, Reg
-
-_INT_MASK = 0xFFFFFFFF
-_INT_SIGN = 0x80000000
-
-
-def _wrap(value: int) -> int:
-    """Wrap a Python int to signed 32-bit two's complement."""
-    value &= _INT_MASK
-    if value & _INT_SIGN:
-        value -= 1 << 32
-    return value
-
-
-def _unsigned(value: int) -> int:
-    return value & _INT_MASK
+from repro.ir.int32 import c_div, unsigned32 as _unsigned, wrap32 as _wrap
 
 
 @dataclass
@@ -352,9 +338,7 @@ class Simulator:
             if rhs == 0:
                 raise SimulationError(
                     f"{frame.function.name}: division by zero")
-            quotient = abs(lhs) // abs(rhs)
-            if (lhs < 0) != (rhs < 0):
-                quotient = -quotient
+            quotient = c_div(lhs, rhs)
             remainder = lhs - quotient * rhs
             cycles = self._div_cycles(lhs)
             return _wrap(quotient if op is Opcode.DIV else remainder), cycles

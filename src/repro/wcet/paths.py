@@ -48,6 +48,8 @@ from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.ir.cfg import Function
 from repro.ir.instructions import Imm, Instr, Opcode, Operand, Reg
+from repro.ir.int32 import (INT32_MAX, INT32_MIN, UINT32_MASK, eval_binary,
+                            eval_unary, wrap32)
 from repro.ir.regions import (
     BlockRegion,
     IfRegion,
@@ -59,10 +61,6 @@ from repro.ir.regions import (
 )
 from repro.wcet.structural import InstrCost, StructuralCostEngine
 
-INT32_MIN = -(2 ** 31)
-INT32_MAX = 2 ** 31 - 1
-_UINT32_MASK = 0xFFFFFFFF
-
 #: Default per-unit budget on completed + pruned paths before the engine
 #: falls back to the structural bound for that unit.
 DEFAULT_PATH_CAP = 1024
@@ -71,14 +69,6 @@ DEFAULT_PATH_CAP = 1024
 #: they carry no cost and never appear in a function's CFG).
 ENTRY_NODE = "<entry>"
 EXIT_NODE = "<exit>"
-
-
-def _wrap(value: int) -> int:
-    """Two's-complement 32-bit wrap (the simulator's arithmetic)."""
-    value &= _UINT32_MASK
-    if value > INT32_MAX:
-        value -= 1 << 32
-    return value
 
 
 # --------------------------------------------------------------------------
@@ -200,7 +190,7 @@ class _State:
 
     def value_of(self, operand: Operand) -> _Value:
         if isinstance(operand, Imm):
-            return _const(_wrap(operand.value))
+            return _const(wrap32(operand.value))
         return self.values.get(operand.name, _TOP)
 
     def version(self, name: str) -> int:
@@ -224,39 +214,10 @@ class _State:
 # --------------------------------------------------------------------------
 def _eval_const(op: Opcode, operands: List[int]) -> Optional[int]:
     """Exact evaluation on constants, mirroring the simulator's semantics."""
-    if op is Opcode.NEG:
-        return _wrap(-operands[0])
-    if op is Opcode.NOT:
-        return _wrap(~operands[0])
-    if op is Opcode.LNOT:
-        return 0 if operands[0] != 0 else 1
-    lhs, rhs = operands
-    if op is Opcode.ADD:
-        return _wrap(lhs + rhs)
-    if op is Opcode.SUB:
-        return _wrap(lhs - rhs)
-    if op is Opcode.MUL:
-        return _wrap(lhs * rhs)
-    if op in (Opcode.DIV, Opcode.MOD):
-        if rhs == 0:
-            return None  # the simulator raises; no value to propagate
-        quotient = abs(lhs) // abs(rhs)
-        if (lhs < 0) != (rhs < 0):
-            quotient = -quotient
-        remainder = lhs - quotient * rhs
-        return _wrap(quotient if op is Opcode.DIV else remainder)
-    if op is Opcode.AND:
-        return _wrap(lhs & rhs)
-    if op is Opcode.OR:
-        return _wrap(lhs | rhs)
-    if op is Opcode.XOR:
-        return _wrap(lhs ^ rhs)
-    if op is Opcode.SHL:
-        return _wrap((lhs & _UINT32_MASK) << (rhs & 31))
-    if op is Opcode.SHR:
-        return _wrap((lhs & _UINT32_MASK) >> (rhs & 31))
-    if op in _CMP_REL:
-        return int(_CMP_PY[op](lhs, rhs))
+    if len(operands) == 1:
+        return eval_unary(op, operands[0])
+    if len(operands) == 2:
+        return eval_binary(op, *operands)
     return None
 
 
@@ -264,11 +225,6 @@ _CMP_REL = {
     Opcode.CMPLT: "lt", Opcode.CMPLE: "le",
     Opcode.CMPGT: "gt", Opcode.CMPGE: "ge",
     Opcode.CMPEQ: "eq", Opcode.CMPNE: "ne",
-}
-_CMP_PY = {
-    Opcode.CMPLT: lambda a, b: a < b, Opcode.CMPLE: lambda a, b: a <= b,
-    Opcode.CMPGT: lambda a, b: a > b, Opcode.CMPGE: lambda a, b: a >= b,
-    Opcode.CMPEQ: lambda a, b: a == b, Opcode.CMPNE: lambda a, b: a != b,
 }
 _SWAP_REL = {"lt": "gt", "le": "ge", "gt": "lt", "ge": "le",
              "eq": "eq", "ne": "ne"}
@@ -525,7 +481,7 @@ def _transfer(state: _State, instr: Instr) -> None:
             if shift == 0:
                 state.set(name, a)
             else:
-                state.set(name, _Value(0, _UINT32_MASK >> shift))
+                state.set(name, _Value(0, UINT32_MASK >> shift))
             return
         state.havoc(name)
         return

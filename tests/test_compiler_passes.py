@@ -1,12 +1,18 @@
 """Tests for the compiler's optimisation passes (semantics preservation and effect)."""
 
+import dataclasses
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.compiler.config import CompilerConfig
+from repro.compiler.config import UNROLL_CHOICES, CompilerConfig
+from repro.compiler.engine.cache import program_fingerprint
 from repro.compiler.evaluate import build_program, evaluate_config
 from repro.compiler.passes.ast_passes import (
+    _simple_function_expression,
+    _substitute,
     fold_constants,
     inline_simple_functions,
     unroll_loops,
@@ -18,13 +24,18 @@ from repro.compiler.passes.ir_passes import (
     strength_reduce,
 )
 from repro.compiler.passes.spm import allocate_scratchpad
+from repro.compiler.pipeline.compile import CompilationPipeline
+from repro.compiler.pipeline.manager import PassManager
+from repro.compiler.pipeline.passes import default_compile_passes
+from repro.errors import SimulationError
 from repro.frontend import ast_nodes as ast
 from repro.frontend.lowering import compile_source, lower_module
 from repro.frontend.parser import parse
 from repro.hw.presets import nucleo_stm32f091rc
 from repro.ir.instructions import Imm, Opcode, Reg
+from repro.scenarios.registry import get_scenario, list_scenarios
 from repro.sim.machine import Simulator
-from repro.wcet.loopbounds import infer_loop_bounds
+from repro.wcet.loopbounds import infer_for_bound, infer_loop_bounds
 
 SOURCE = """
 int data[16];
@@ -455,3 +466,488 @@ class TestPeephole:
         assert peephole_optimize(shared) >= 2
         assert [(i.opcode, i.srcs) for i in
                 program.functions["kernel"].iter_instructions()] == reference
+
+
+# ---------------------------------------------------------------------------
+# Constant folding evaluates with the target's 32-bit semantics
+# ---------------------------------------------------------------------------
+def _fold_outcome(source, folded, args=()):
+    """What simulating ``f`` returns, or ``"trap"`` if it raises."""
+    module = parse(source)
+    if folded:
+        fold_constants(module)
+    try:
+        return Simulator(lower_module(module), nucleo_stm32f091rc()).run(
+            "f", list(args)).return_value
+    except SimulationError:
+        return "trap"
+
+
+class TestFoldingMatchesTarget:
+    # Each overflows an intermediate that then feeds an operator whose result
+    # depends on the wrap: unbounded-integer folding got every one wrong.
+    @pytest.mark.parametrize("expression, expected", [
+        ("(2147483647 + 1) > 0", 0),
+        ("(2147483647 + 1) / 2", -1073741824),
+        ("(2147483647 + 1) % 3", -2),
+        ("(4294967295 + 1) == 0", 1),
+        ("-(0 - 2147483647 - 1) < 0", 1),
+    ])
+    def test_overflowing_folds_wrap_like_the_simulator(self, expression,
+                                                       expected):
+        source = f"int f(void) {{ return {expression}; }}"
+        assert fold_constants(parse(source)) >= 2
+        assert _fold_outcome(source, folded=False) == expected
+        assert _fold_outcome(source, folded=True) == expected
+
+    def test_division_by_wrapped_zero_is_not_folded(self):
+        # 4294967296 is 0 on the target: the division must still trap.
+        source = "int f(void) { return 7 / 4294967296; }"
+        assert fold_constants(parse(source)) == 0
+        assert _fold_outcome(source, folded=True) == "trap"
+
+    @pytest.mark.parametrize("operand", ["g()", "data[a]", "(a / 0)"])
+    def test_multiplying_by_zero_keeps_effects_and_traps(self, operand):
+        source = f"""
+        int data[2];
+        int g(void) {{ data[0] = 7; return 1; }}
+        int f(int a) {{
+            int r = {operand} * 0;
+            r = 0 * {operand};
+            return data[0] + r;
+        }}
+        """
+        unfolded = _fold_outcome(source, folded=False, args=[5])
+        assert _fold_outcome(source, folded=True, args=[5]) == unfolded
+        # A pure operand may still be dropped.
+        assert fold_constants(parse(
+            "int f(int a) { return (a + 1) * 0; }")) == 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_folded_program_computes_what_unfolded_computes(self, data):
+        expression = data.draw(_overflow_expressions)
+        argument = data.draw(_BOUNDARY_INTS)
+        source = f"int f(int a) {{ return {expression}; }}"
+        assert (_fold_outcome(source, folded=True, args=[argument])
+                == _fold_outcome(source, folded=False, args=[argument]))
+
+
+#: Constants around the 32-bit boundaries, where unbounded folding diverges.
+_BOUNDARY_INTS = st.one_of(
+    st.sampled_from([0, 1, 2, 3, 31, 32, 33]),
+    st.integers(-3, 3).map(lambda d: 2 ** 31 + d),
+    st.integers(-3, 3).map(lambda d: 2 ** 32 + d),
+    st.integers(-3, 3).map(lambda d: -(2 ** 31) + d),
+    st.integers(-(2 ** 33), 2 ** 33),
+)
+
+#: Every operator constant folding handles (all binary ones lower to IR).
+_FOLDABLE_OPERATORS = ("+", "-", "*", "/", "%", "&", "|", "^", "<<", ">>",
+                       "<", "<=", ">", ">=", "==", "!=", "&&", "||")
+
+
+def _literal(value):
+    return str(value) if value >= 0 else f"(-{-value})"
+
+
+_overflow_expressions = st.recursive(
+    st.one_of(_BOUNDARY_INTS.map(_literal), st.just("a")),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from(_FOLDABLE_OPERATORS), inner).map(
+            lambda t: f"({t[0]} {t[1]} {t[2]})"),
+        st.tuples(st.sampled_from("-~!"), inner).map(
+            lambda t: f"({t[0]}{t[1]})")),
+    max_leaves=6)
+
+
+# ---------------------------------------------------------------------------
+# Differential check: the parent's deep-clone unroller and in-place folder
+# and inliner, kept as test-only oracles for the by-reference unroller and
+# the copy-on-write folder and inliner.
+# ---------------------------------------------------------------------------
+_ORACLE_FOLDABLE_BINARY = {
+    "+": lambda a, b: a + b,
+    "-": lambda a, b: a - b,
+    "*": lambda a, b: a * b,
+    "/": lambda a, b: _oracle_c_div(a, b),
+    "%": lambda a, b: a - _oracle_c_div(a, b) * b,
+    "&": lambda a, b: a & b,
+    "|": lambda a, b: a | b,
+    "^": lambda a, b: a ^ b,
+    "<<": lambda a, b: a << (b & 31),
+    ">>": lambda a, b: (a & 0xFFFFFFFF) >> (b & 31),
+    "<": lambda a, b: int(a < b),
+    "<=": lambda a, b: int(a <= b),
+    ">": lambda a, b: int(a > b),
+    ">=": lambda a, b: int(a >= b),
+    "==": lambda a, b: int(a == b),
+    "!=": lambda a, b: int(a != b),
+    "&&": lambda a, b: int(bool(a) and bool(b)),
+    "||": lambda a, b: int(bool(a) or bool(b)),
+}
+
+
+def _oracle_c_div(a, b):
+    if b == 0:
+        raise ZeroDivisionError("constant division by zero")
+    quotient = abs(a) // abs(b)
+    return -quotient if (a < 0) != (b < 0) else quotient
+
+
+def _oracle_fold_expr(expr, counter):
+    if isinstance(expr, (ast.Num, ast.Var)):
+        return expr
+    if isinstance(expr, ast.Index):
+        expr.index = _oracle_fold_expr(expr.index, counter)
+        return expr
+    if isinstance(expr, ast.Call):
+        expr.args = [_oracle_fold_expr(arg, counter) for arg in expr.args]
+        return expr
+    if isinstance(expr, ast.Unary):
+        expr.operand = _oracle_fold_expr(expr.operand, counter)
+        if isinstance(expr.operand, ast.Num):
+            value = expr.operand.value
+            counter[0] += 1
+            if expr.op == "-":
+                return ast.Num(-value, expr.line)
+            if expr.op == "~":
+                return ast.Num(~value, expr.line)
+            if expr.op == "!":
+                return ast.Num(int(value == 0), expr.line)
+        return expr
+    if isinstance(expr, ast.Binary):
+        expr.lhs = _oracle_fold_expr(expr.lhs, counter)
+        expr.rhs = _oracle_fold_expr(expr.rhs, counter)
+        if isinstance(expr.lhs, ast.Num) and isinstance(expr.rhs, ast.Num):
+            try:
+                value = _ORACLE_FOLDABLE_BINARY[expr.op](expr.lhs.value,
+                                                         expr.rhs.value)
+            except ZeroDivisionError:
+                return expr
+            counter[0] += 1
+            return ast.Num(value, expr.line)
+        if isinstance(expr.rhs, ast.Num):
+            if expr.op in ("+", "-", "|", "^", "<<", ">>") \
+                    and expr.rhs.value == 0:
+                counter[0] += 1
+                return expr.lhs
+            if expr.op == "*" and expr.rhs.value == 1:
+                counter[0] += 1
+                return expr.lhs
+            if expr.op == "*" and expr.rhs.value == 0:
+                counter[0] += 1
+                return ast.Num(0, expr.line)
+            if expr.op == "/" and expr.rhs.value == 1:
+                counter[0] += 1
+                return expr.lhs
+        if isinstance(expr.lhs, ast.Num):
+            if expr.op in ("+", "|", "^") and expr.lhs.value == 0:
+                counter[0] += 1
+                return expr.rhs
+            if expr.op == "*" and expr.lhs.value == 1:
+                counter[0] += 1
+                return expr.rhs
+            if expr.op == "*" and expr.lhs.value == 0:
+                counter[0] += 1
+                return ast.Num(0, expr.line)
+        return expr
+    raise TypeError(f"unknown expression {type(expr)!r}")
+
+
+def _oracle_fold_stmt(stmt, counter):
+    if isinstance(stmt, ast.VarDecl) and stmt.init is not None:
+        stmt.init = _oracle_fold_expr(stmt.init, counter)
+    elif isinstance(stmt, ast.Assign):
+        stmt.value = _oracle_fold_expr(stmt.value, counter)
+        if isinstance(stmt.target, ast.Index):
+            stmt.target.index = _oracle_fold_expr(stmt.target.index, counter)
+    elif isinstance(stmt, ast.If):
+        stmt.cond = _oracle_fold_expr(stmt.cond, counter)
+        for child in stmt.then_body + stmt.else_body:
+            _oracle_fold_stmt(child, counter)
+    elif isinstance(stmt, ast.While):
+        stmt.cond = _oracle_fold_expr(stmt.cond, counter)
+        for child in stmt.body:
+            _oracle_fold_stmt(child, counter)
+    elif isinstance(stmt, ast.For):
+        if stmt.init is not None:
+            _oracle_fold_stmt(stmt.init, counter)
+        if stmt.cond is not None:
+            stmt.cond = _oracle_fold_expr(stmt.cond, counter)
+        if stmt.update is not None:
+            _oracle_fold_stmt(stmt.update, counter)
+        for child in stmt.body:
+            _oracle_fold_stmt(child, counter)
+    elif isinstance(stmt, ast.Return) and stmt.value is not None:
+        stmt.value = _oracle_fold_expr(stmt.value, counter)
+    elif isinstance(stmt, ast.ExprStmt):
+        stmt.expr = _oracle_fold_expr(stmt.expr, counter)
+
+
+def _oracle_unroll_body(body, limit, counter):
+    result = []
+    for stmt in body:
+        if isinstance(stmt, ast.If):
+            stmt.then_body = _oracle_unroll_body(stmt.then_body, limit,
+                                                 counter)
+            stmt.else_body = _oracle_unroll_body(stmt.else_body, limit,
+                                                 counter)
+            result.append(stmt)
+            continue
+        if isinstance(stmt, ast.While):
+            stmt.body = _oracle_unroll_body(stmt.body, limit, counter)
+            result.append(stmt)
+            continue
+        if isinstance(stmt, ast.For):
+            stmt.body = _oracle_unroll_body(stmt.body, limit, counter)
+            bound = (stmt.bound if stmt.bound is not None
+                     else infer_for_bound(stmt))
+            static_bound = infer_for_bound(stmt)
+            if static_bound is not None and static_bound == bound \
+                    and 0 < bound <= limit:
+                counter[0] += 1
+                if stmt.init is not None:
+                    result.append(stmt.init)
+                for _ in range(bound):
+                    result.extend(ast.clone_stmt(s) for s in stmt.body)
+                    if stmt.update is not None:
+                        result.append(ast.clone_stmt(stmt.update))
+                continue
+            result.append(stmt)
+            continue
+        result.append(stmt)
+    return result
+
+
+def _oracle_inline_expr(expr, inlinable, counter):
+    if isinstance(expr, (ast.Num, ast.Var)):
+        return expr
+    if isinstance(expr, ast.Index):
+        expr.index = _oracle_inline_expr(expr.index, inlinable, counter)
+        return expr
+    if isinstance(expr, ast.Unary):
+        expr.operand = _oracle_inline_expr(expr.operand, inlinable, counter)
+        return expr
+    if isinstance(expr, ast.Binary):
+        expr.lhs = _oracle_inline_expr(expr.lhs, inlinable, counter)
+        expr.rhs = _oracle_inline_expr(expr.rhs, inlinable, counter)
+        return expr
+    if isinstance(expr, ast.Call):
+        expr.args = [_oracle_inline_expr(arg, inlinable, counter)
+                     for arg in expr.args]
+        callee = inlinable.get(expr.name)
+        if callee is not None and len(expr.args) == len(callee.params):
+            body_expr = _simple_function_expression(callee)
+            if body_expr is not None:
+                counter[0] += 1
+                return _substitute(body_expr,
+                                   dict(zip(callee.params, expr.args)))
+        return expr
+    raise TypeError(f"unknown expression {type(expr)!r}")
+
+
+def _oracle_inline(module):
+    inlinable = {fn.name: fn for fn in module.functions
+                 if _simple_function_expression(fn) is not None}
+    counter = [0]
+    for function in module.functions:
+        for stmt in ast.walk_stmts(function.body):
+            if isinstance(stmt, ast.VarDecl) and stmt.init is not None:
+                stmt.init = _oracle_inline_expr(stmt.init, inlinable, counter)
+            elif isinstance(stmt, ast.Assign):
+                stmt.value = _oracle_inline_expr(stmt.value, inlinable,
+                                                 counter)
+                if isinstance(stmt.target, ast.Index):
+                    stmt.target.index = _oracle_inline_expr(
+                        stmt.target.index, inlinable, counter)
+            elif isinstance(stmt, (ast.If, ast.While)):
+                stmt.cond = _oracle_inline_expr(stmt.cond, inlinable, counter)
+            elif isinstance(stmt, ast.For) and stmt.cond is not None:
+                stmt.cond = _oracle_inline_expr(stmt.cond, inlinable, counter)
+            elif isinstance(stmt, ast.Return) and stmt.value is not None:
+                stmt.value = _oracle_inline_expr(stmt.value, inlinable,
+                                                 counter)
+            elif isinstance(stmt, ast.ExprStmt):
+                stmt.expr = _oracle_inline_expr(stmt.expr, inlinable, counter)
+    return counter[0]
+
+
+def _oracle_fold_pass(ctx):
+    counter = [0]
+    for function in ctx.module.functions:
+        for stmt in function.body:
+            _oracle_fold_stmt(stmt, counter)
+    ctx.statistics["constant_folds"] = (
+        ctx.statistics.get("constant_folds", 0) + counter[0])
+
+
+def _oracle_inline_pass(ctx):
+    ctx.statistics["inlined_calls"] = _oracle_inline(ctx.module)
+
+
+def _oracle_unroll_pass(ctx):
+    counter = [0]
+    if ctx.config.unroll_limit > 0:
+        for function in ctx.module.functions:
+            function.body = _oracle_unroll_body(
+                function.body, ctx.config.unroll_limit, counter)
+    ctx.statistics["unrolled_loops"] = counter[0]
+
+
+_ORACLE_PASSES = {"constant-folding": _oracle_fold_pass,
+                  "inline-simple-functions": _oracle_inline_pass,
+                  "unroll-loops": _oracle_unroll_pass}
+
+
+def _oracle_pipeline(platform):
+    return CompilationPipeline(platform, PassManager(
+        dataclasses.replace(p, apply=_ORACLE_PASSES[p.name])
+        if p.name in _ORACLE_PASSES else p
+        for p in default_compile_passes()))
+
+
+def _build_signature(pipeline, module, config):
+    """Fingerprint digest, size, statistics and full listing of a build."""
+    program, statistics = pipeline.build(module, config)
+    listing = [(name, label, i.opcode, i.dst, i.srcs, i.array,
+                i.true_target, i.false_target, i.callee, i.args)
+               for name, function in program.functions.items()
+               for label, block in function.blocks.items()
+               for i in block.instrs]
+    return (program_fingerprint(program).digest(),
+            program.total_instructions, statistics, listing)
+
+
+def _assert_matches_oracle(source, platform, configs):
+    pipeline = CompilationPipeline(platform)
+    oracle = _oracle_pipeline(platform)
+    module = parse(source)
+    for config in configs:
+        assert (_build_signature(pipeline, module, config)
+                == _build_signature(oracle, module, config)), config
+
+
+def _ast_pass_configs(unrolls=UNROLL_CHOICES, hardening=(False, True)):
+    return [CompilerConfig(unroll_limit=unroll, constant_folding=folding,
+                           inline_simple_functions=inlining,
+                           harden_security=hardened)
+            for unroll, folding, inlining, hardened in itertools.product(
+                unrolls, (False, True), (False, True), hardening)]
+
+
+class TestAstPassesMatchOracle:
+    @pytest.mark.parametrize("scenario", sorted(
+        spec.name for spec in list_scenarios() if spec.kind == "predictable"))
+    def test_registered_scenarios_build_bit_identically(self, scenario):
+        spec = get_scenario(scenario)
+        _assert_matches_oracle(spec.source, spec.make_platform(),
+                               _ast_pass_configs())
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_generated_programs_build_bit_identically(self, data):
+        source = data.draw(_LOOP_PROGRAMS)
+        # Trip counts are at most 6: limits 4 and 8 cover none, some and all
+        # loops unrolled (16 and 32 would build exactly what 8 builds).
+        _assert_matches_oracle(source, nucleo_stm32f091rc(),
+                               _ast_pass_configs(unrolls=(0, 4, 8),
+                                                 hardening=(False,)))
+
+    def test_unrolled_copies_are_the_same_statements(self):
+        module = parse("""
+        int f(int a) {
+            int acc = 0;
+            for (int i = 0; i < 3; i = i + 1) { acc = acc + a; a = a * 2; }
+            return acc;
+        }""")
+        infer_loop_bounds(module)
+        assert unroll_loops(module, limit=4) == 1
+        body = module.function("f").body
+        # acc decl, loop init, then 3 x (two body statements + update).
+        copies = [body[2 + 3 * k: 5 + 3 * k] for k in range(3)]
+        for copy in copies[1:]:
+            assert all(a is b for a, b in zip(copy, copies[0]))
+
+    def test_folding_a_shared_statement_is_copy_on_write(self):
+        module = parse("""
+        int f(int a) {
+            int acc = 0;
+            for (int i = 0; i < 4; i = i + 1) { acc = acc + 2 * 3; }
+            return acc;
+        }""")
+        infer_loop_bounds(module)
+        unroll_loops(module, limit=4)
+        body = module.function("f").body
+        shared = body[2]
+        assert [s is shared for s in body[2:10:2]] == [True] * 4
+        # Counted once per occurrence, as on the equivalent tree...
+        assert fold_constants(module) == 4
+        # ...while the shared node itself is left as it was.
+        assert isinstance(shared.value.rhs, ast.Binary)
+        folded = module.function("f").body
+        assert all(s is not shared for s in folded)
+        assert [s.value.rhs.value for s in folded[2:10:2]] == [6] * 4
+
+
+def _loop_programs():
+    """TeamPlay-C kernels with nested counted loops, ``if``s inside loop
+    bodies and calls to inlinable functions with constant arguments.
+
+    Constants stay small, so no fold overflows 32 bits, and ``*`` only
+    combines call-free, load-free and division-free operands: those are
+    the two places where this module's folder deliberately differs from
+    the oracle (pinned by ``TestFoldingMatchesTarget``).
+    """
+    constant = st.integers(0, 9).map(str)
+
+    def binary(inner, operators):
+        return st.tuples(inner, st.sampled_from(operators), inner).map(
+            lambda t: f"({t[0]} {t[1]} {t[2]})")
+
+    def statements(depth):
+        names = ["a", "acc"] + list("ij"[:depth])
+        pure = st.recursive(
+            st.one_of(constant, st.sampled_from(names)),
+            lambda inner: binary(inner, ["+", "-", "*", "&", "|", "^", "<",
+                                         "<=", "==", "!=", "&&", "||"]),
+            max_leaves=4)
+        call = st.one_of(constant.map(lambda c: f"g({c})"),
+                         st.tuples(constant, pure).map(
+                             lambda t: f"h({t[0]}, {t[1]})"))
+        expression = st.recursive(
+            st.one_of(pure, call, st.just("data[a & 7]")),
+            lambda inner: binary(inner, ["+", "-", "/", "%", "<", "==",
+                                         "&&", "||"]),
+            max_leaves=4)
+        kinds = [
+            expression.map(lambda e: f"acc = acc + {e};"),
+            expression.map(lambda e: f"data[3] = {e};"),
+            st.tuples(expression, expression).map(
+                lambda t: f"if ({t[0]}) {{ acc = {t[1]}; }} "
+                          f"else {{ acc = acc - 1; }}")]
+        if depth < 2:
+            kinds.append(loops[depth])
+        return st.one_of(kinds)
+
+    def loop(depth):
+        var = "ij"[depth]
+        return st.tuples(
+            st.integers(1, 6),
+            st.lists(st.deferred(lambda: body[depth + 1]),
+                     min_size=1, max_size=3)).map(
+            lambda t: f"for (int {var} = 0; {var} < {t[0]}; "
+                      f"{var} = {var} + 1) {{ {' '.join(t[1])} }}")
+
+    loops = [loop(0), loop(1)]
+    body = [statements(depth) for depth in range(3)]
+    return st.tuples(st.lists(body[0], max_size=2), loops[0]).map(
+        lambda t: (
+            "int data[8];\n"
+            "int g(int x) { return x * 3 + 1; }\n"
+            "int h(int x, int y) { return x - y * 2; }\n"
+            "int kernel(int a) {\n    int acc = 1;\n    "
+            + "\n    ".join(t[0] + [t[1]]) + "\n    return acc;\n}\n"))
+
+
+_LOOP_PROGRAMS = _loop_programs()
